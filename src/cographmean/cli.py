@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: ``mean``, ``reliability``, ``enumerate``, ``verify``.  Graph
-inputs are auto-detected: strings starting with J, U, or L parse as cotree
-expressions, anything else as graph6.  All numeric output is exact
+inputs are auto-detected: a J, U, or L that is alone or followed (after
+optional whitespace) by ``(`` starts a cotree expression, anything else is
+graph6.  All numeric output is exact
 ("num/den" strings); ``--decimal`` appends a clearly marked 12-digit
 approximation.  Exit codes: 0 all good, 1 verification failure, 2
 usage/parse error.
@@ -17,10 +18,11 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
-from .cotree import Cotree, cotree_to_graph, graph_to_cotree, parse_cotree
+from .cotree import Cotree, cotree_to_graph, format_cotree, graph_to_cotree, parse_cotree
 from .enumeration import Family, GeneratorSpec, generate
-from .errors import CographMeanError, UnknownSuite
+from .errors import CographMeanError, ConfigError
 from .graph import Graph, emit_graph6, parse_graph6
 from .poly import (
     DEFAULT_BRUTE_FORCE_CAP,
@@ -34,9 +36,11 @@ from .poly import (
     phi_local_cotree,
 )
 from .verify import (
+    TABLE1,
+    TABLE2,
+    ExtremalClaim,
     TheoremVerdict,
-    table1_rows,
-    table2_rows,
+    table_rows,
     verify_disconnected_max,
     verify_inequality_sweeps,
     verify_local_counterexample,
@@ -68,7 +72,10 @@ def _resolve_config(args: argparse.Namespace) -> CliConfig:
     cfg = CliConfig()
     cap = getattr(args, "brute_force_cap", None)
     if cap is None and _env("BRUTE_FORCE_CAP"):
-        cap = int(_env("BRUTE_FORCE_CAP"))
+        try:
+            cap = int(_env("BRUTE_FORCE_CAP"))
+        except ValueError as exc:
+            raise ConfigError(f"{_ENV_PREFIX}BRUTE_FORCE_CAP: {exc}") from None
     if cap is not None:
         cfg.brute_force_cap = cap
     fmt = getattr(args, "format", None) or _env("FORMAT")
@@ -79,7 +86,10 @@ def _resolve_config(args: argparse.Namespace) -> CliConfig:
 
 
 def _parse_input(text: str) -> Cotree | Graph:
-    if text[:1] in ("J", "U", "L"):
+    # graph6 strings of order 11, 13 or 22 also start with J, L or U, but
+    # neither "(" nor whitespace is ever a graph6 byte.
+    rest = text[1:].lstrip()
+    if text[:1] in ("J", "U", "L") and (not rest or rest[0] == "("):
         return parse_cotree(text)
     return parse_graph6(text)
 
@@ -184,8 +194,6 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if emit is None:
         emit = "graph6" if family in (Family.CONNECTED_GRAPHS, Family.CATERPILLARS) else "cotree"
     spec = GeneratorSpec(family, args.order, args.shard)
-    from .cotree import format_cotree
-
     for item in generate(spec):
         if emit == "cotree":
             if isinstance(item, Graph):
@@ -202,70 +210,44 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-_SUITE_ORDER = (
-    "table1",
-    "table2",
-    "skillet-min",
-    "star-max",
-    "disconnected-max",
-    "local-mean",
-    "inequalities",
-    "path-conjecture",
-)
-
-_DEFAULT_NMAX = {
-    "table1": 6,
-    "table2": 7,
-    "skillet-min": 12,
-    "star-max": 12,
-    "disconnected-max": 10,
-    "local-mean": 8,
-    "inequalities": 64,
-    "path-conjecture": 7,
+# suite -> (default --nmax, runner, claim whose table --golden diffs or None).
+# The key order is the order of ``verify all``.
+_SUITES = {
+    "table1": (6, lambda n: [verify_table1(n)], TABLE1),
+    "table2": (7, lambda n: [verify_table2(n)], TABLE2),
+    "skillet-min": (12, lambda n: [verify_skillet_min(n)], None),
+    "star-max": (12, lambda n: [verify_star_max(n)], None),
+    "disconnected-max": (10, lambda n: [verify_disconnected_max(n)], None),
+    "local-mean": (
+        8,
+        lambda n: verify_structural_theorems(n) + [verify_local_counterexample()],
+        None,
+    ),
+    "inequalities": (64, verify_inequality_sweeps, None),
+    "path-conjecture": (7, lambda n: [verify_path_min_conjecture(n)], None),
 }
 
 
-def _run_suite(name: str, nmax: int | None) -> list[TheoremVerdict]:
-    n = nmax if nmax is not None else _DEFAULT_NMAX[name]
-    if name == "table1":
-        return [verify_table1()]
-    if name == "table2":
-        return [verify_table2(n)]
-    if name == "skillet-min":
-        return [verify_skillet_min(n)]
-    if name == "star-max":
-        return [verify_star_max(n)]
-    if name == "disconnected-max":
-        return [verify_disconnected_max(n)]
-    if name == "local-mean":
-        return verify_structural_theorems(n) + [verify_local_counterexample()]
-    if name == "inequalities":
-        return verify_inequality_sweeps(n)
-    if name == "path-conjecture":
-        return [verify_path_min_conjecture(n)]
-    raise UnknownSuite(f"unknown verification suite {name!r}")
-
-
-def _golden_verdict(name: str, nmax: int | None, golden_dir: str | None) -> TheoremVerdict:
+def _golden_verdict(
+    suite: str, claim: ExtremalClaim, nmax: int, golden_dir: str | None
+) -> TheoremVerdict:
     """Diff a computed table against its checked-in golden rows."""
-    computed = table1_rows() if name == "table1" else table2_rows(
-        nmax if nmax is not None else _DEFAULT_NMAX[name]
-    )
-    fname = "table1.json" if name == "table1" else "table2.json"
-    if golden_dir:
-        with open(os.path.join(golden_dir, fname), encoding="utf-8") as fh:
-            golden = json.load(fh)
-    else:
-        text = resources.files("cographmean").joinpath("golden", fname).read_text()
-        golden = json.loads(text)
-    golden_rows = {row["order"]: row for row in golden["rows"]}
+    computed = table_rows(claim, nmax)
+    root = Path(golden_dir) if golden_dir else resources.files("cographmean") / "golden"
+    path = root / f"{suite}.json"
+    try:
+        golden = json.loads(path.read_text(encoding="utf-8"))
+        golden_rows = {row["order"]: row for row in golden["rows"]}
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        reason = getattr(exc, "strerror", None) or repr(exc)
+        raise ConfigError(f"cannot read golden file {path}: {reason}") from None
     mismatches = []
     for row in computed:
         want = golden_rows.get(row["order"])
         if want != row:
             mismatches.append({"computed": row, "golden": want})
     return TheoremVerdict(
-        theorem=f"golden-diff-{name}",
+        theorem=f"golden-diff-{suite}",
         parameter_range=f"orders {computed[0]['order']}..{computed[-1]['order']}",
         status="PASS" if not mismatches else "FAIL",
         witness={"mismatches": mismatches} if mismatches else None,
@@ -286,19 +268,19 @@ def _emit_tsv(suites: list[dict]) -> str:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    names = list(_SUITE_ORDER) if args.suite == "all" else [args.suite]
-    if args.suite not in list(_SUITE_ORDER) + ["all"]:
-        raise UnknownSuite(f"unknown verification suite {args.suite!r}")
+    names = list(_SUITES) if args.suite == "all" else [args.suite]
     suites = []
     all_pass = True
     for name in names:
-        verdicts = _run_suite(name, args.nmax)
-        if args.golden and name in ("table1", "table2"):
-            verdicts = verdicts + [_golden_verdict(name, args.nmax, cfg.golden_dir)]
+        default_nmax, runner, golden_claim = _SUITES[name]
+        nmax = default_nmax if args.nmax is None else args.nmax
+        verdicts = runner(nmax)
+        if args.golden and golden_claim is not None:
+            verdicts.append(_golden_verdict(name, golden_claim, nmax, cfg.golden_dir))
         suites.append(
             {
                 "suite": name,
-                "nmax": args.nmax if args.nmax is not None else _DEFAULT_NMAX[name],
+                "nmax": nmax,
                 "verdicts": [v.to_json_dict() for v in verdicts],
             }
         )
@@ -354,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_enum.set_defaults(func=_cmd_enumerate)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("suite", choices=list(_SUITE_ORDER) + ["all"])
+    p_verify.add_argument("suite", choices=list(_SUITES) + ["all"])
     p_verify.add_argument("--nmax", type=int, help="override the suite's order cap")
     p_verify.add_argument("--format", choices=["json", "tsv"])
     p_verify.add_argument(

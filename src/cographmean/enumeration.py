@@ -24,7 +24,7 @@ from itertools import chain, combinations_with_replacement, product
 from typing import Iterator, Union
 
 from .cotree import JOIN, LEAF_TREE, UNION, Cotree, canonicalize, format_cotree
-from .errors import OrderOutOfRange, UnknownFamily
+from .errors import InvalidShard, OrderOutOfRange, UnknownFamily
 from .graph import Graph, _component, from_edge_list
 
 MAX_COTREE_LEAVES = 20
@@ -53,7 +53,9 @@ class GeneratorSpec:
             raise OrderOutOfRange(f"order must be >= 1, got {self.order}")
         index, count = self.shard
         if count < 1 or not 0 <= index < count:
-            raise ValueError(f"invalid shard {self.shard}")
+            raise InvalidShard(
+                f"invalid shard {index}/{count}: need K >= 1 and 0 <= I < K"
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,11 @@ class CographMeanError(ValueError):
     """Base class for all errors raised by this package."""
 
 
-class OrderOutOfRange(CographMeanError):
+class RangeError(CographMeanError):
+    """A closed-form or search parameter is outside its stated range."""
+
+
+class OrderOutOfRange(RangeError):
     """Graph or cotree order outside the supported/configured range."""
 
 
@@ -65,10 +69,6 @@ class ProbabilityOutOfRange(CographMeanError):
     """A reliability probability is not strictly between 0 and 1."""
 
 
-class RangeError(CographMeanError):
-    """A closed-form or search parameter is outside its stated range."""
-
-
 class UnknownFamily(CographMeanError):
     """An unrecognized family name was supplied."""
 
@@ -77,5 +77,9 @@ class NoWitnessFound(CographMeanError):
     """An existence search completed without finding a witness."""
 
 
-class UnknownSuite(CographMeanError):
-    """An unrecognized verification suite name was supplied."""
+class InvalidShard(CographMeanError):
+    """A shard I/K does not satisfy K >= 1 and 0 <= I < K."""
+
+
+class ConfigError(CographMeanError):
+    """A configuration value or a file it names cannot be used."""

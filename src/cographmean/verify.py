@@ -10,10 +10,11 @@ records what actually happens instead of failing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from math import comb
+from typing import Callable, Iterator
 
 from .cotree import (
     JOIN,
@@ -25,6 +26,8 @@ from .cotree import (
     complete_bipartite,
     cotree_to_graph,
     format_cotree,
+    parse_cotree,
+    skillet,
     star,
 )
 from .enumeration import (
@@ -287,17 +290,81 @@ def merge_extremal_reports(a: ExtremalReport, b: ExtremalReport) -> ExtremalRepo
     )
 
 
-def _recheck_by_bruteforce(form: str, mean: Fraction) -> bool:
+def _recheck_by_bruteforce(report: ExtremalReport) -> bool:
     """Recompute a cotree winner's mean with the subset-scan oracle."""
-    from .cotree import parse_cotree
-
-    tree = parse_cotree(form)
-    return global_mean(phi_bruteforce(cotree_to_graph(tree))) == mean
+    graph = cotree_to_graph(parse_cotree(report.winner_form))
+    return global_mean(phi_bruteforce(graph)) == report.winner_mean
 
 
 # ---------------------------------------------------------------------------
-# table checks
+# extremal claims: one record per claim, one runner for all of them
 # ---------------------------------------------------------------------------
+
+
+def _form_and_mean(n: int, report: ExtremalReport) -> str:
+    return f"n={n}: {report.winner_form} mean {report.winner_mean}"
+
+
+@dataclass(frozen=True)
+class ExtremalClaim:
+    """At every order n in ``lo..n_max``, ``objective`` over ``family`` has
+    exactly one winner, printed as ``expected_form(n)``, with mean
+    ``expected_mean(n)`` unless that is None.  With ``recheck`` the mean is
+    also recomputed by the subset-scan oracle (cotree families only)."""
+
+    theorem: str
+    family: Family
+    objective: Objective
+    lo: int
+    hi: int
+    range_label: str  # names the sweep when n_max is outside lo..hi
+    expected_form: Callable[[int], str]
+    expected_mean: Callable[[int], Fraction | None] = lambda n: None
+    log_line: Callable[[int, ExtremalReport], str] = _form_and_mean
+    recheck: bool = True
+
+
+def _claim_reports(
+    claim: ExtremalClaim, n_max: int
+) -> Iterator[tuple[int, ExtremalReport]]:
+    if not claim.lo <= n_max <= claim.hi:
+        raise OrderOutOfRange(
+            f"{claim.range_label} supports {claim.lo}..{claim.hi}, got {n_max}"
+        )
+    for n in range(claim.lo, n_max + 1):
+        yield n, extremal_search(GeneratorSpec(claim.family, n), claim.objective)
+
+
+def run_claim(claim: ExtremalClaim, n_max: int) -> TheoremVerdict:
+    """Check ``claim`` at orders lo..n_max; FAIL at the first order it misses."""
+    log, witness = [], None
+    for n, report in _claim_reports(claim, n_max):
+        expected_mean = claim.expected_mean(n)
+        if not (
+            report.is_unique
+            and report.winner_form == claim.expected_form(n)
+            and (expected_mean is None or report.winner_mean == expected_mean)
+            and (not claim.recheck or _recheck_by_bruteforce(report))
+        ):
+            witness = {"order": n, "report": report.to_json_dict()}
+            break
+        log.append(claim.log_line(n, report))
+    return TheoremVerdict(
+        theorem=claim.theorem,
+        parameter_range=f"n={claim.lo}..{n_max}",
+        status="PASS" if witness is None else "FAIL",
+        witness=witness,
+        log=tuple(log),
+    )
+
+
+def table_rows(claim: ExtremalClaim, n_max: int) -> list[dict]:
+    """The computed winners of ``claim`` at orders lo..n_max, as golden rows."""
+    return [
+        {"order": n, "winners": [f for f, _ in r.winners], "mean": str(r.winner_mean)}
+        for n, r in _claim_reports(claim, n_max)
+    ]
+
 
 _TABLE1_MEANS = {
     1: Fraction(1),
@@ -307,167 +374,6 @@ _TABLE1_MEANS = {
     5: Fraction(69, 26),
     6: Fraction(54, 17),
 }
-
-
-def table1_rows() -> list[dict]:
-    """Computed maximum-mean table over connected cographs, orders 1..6."""
-    rows = []
-    for n in range(1, 7):
-        report = extremal_search(
-            GeneratorSpec(Family.CONNECTED_COGRAPHS, n), Objective.GLOBAL_MEAN_MAX
-        )
-        rows.append(
-            {
-                "order": n,
-                "winners": [form for form, _ in report.winners],
-                "mean": str(report.winner_mean),
-            }
-        )
-    return rows
-
-
-def verify_table1() -> TheoremVerdict:
-    """Unique maximum-mean connected cographs for orders 1..6, exact means."""
-    log = []
-    for n in range(1, 7):
-        report = extremal_search(
-            GeneratorSpec(Family.CONNECTED_COGRAPHS, n), Objective.GLOBAL_MEAN_MAX
-        )
-        expected_form = format_cotree(max_mean_connected_cograph(n))
-        expected_mean = _TABLE1_MEANS[n]
-        ok = (
-            report.is_unique
-            and report.winner_form == expected_form
-            and report.winner_mean == expected_mean
-            and _recheck_by_bruteforce(report.winner_form, report.winner_mean)
-        )
-        if not ok:
-            return TheoremVerdict(
-                theorem="max-mean-table-connected-cographs",
-                parameter_range="n=1..6",
-                status="FAIL",
-                witness={"order": n, "report": report.to_json_dict()},
-                log=tuple(log),
-            )
-        log.append(f"n={n}: {report.winner_form} mean {report.winner_mean}")
-    return TheoremVerdict(
-        theorem="max-mean-table-connected-cographs",
-        parameter_range="n=1..6",
-        status="PASS",
-        log=tuple(log),
-    )
-
-
-def verify_star_max(n_max: int = 12) -> TheoremVerdict:
-    """The star is the unique maximum-mean connected cograph from order 7 up."""
-    if not 7 <= n_max <= 14:
-        raise RangeError(f"star maximality sweep supports 7..14, got {n_max}")
-    log = []
-    for n in range(7, n_max + 1):
-        report = extremal_search(
-            GeneratorSpec(Family.CONNECTED_COGRAPHS, n), Objective.GLOBAL_MEAN_MAX
-        )
-        expected_mean = closed_form_means(MeanFamily.STAR, n)
-        ok = (
-            report.is_unique
-            and report.winner_form == format_cotree(star(n))
-            and report.winner_mean == expected_mean
-            and _recheck_by_bruteforce(report.winner_form, report.winner_mean)
-        )
-        if not ok:
-            return TheoremVerdict(
-                theorem="star-unique-max-connected-cographs",
-                parameter_range=f"n=7..{n_max}",
-                status="FAIL",
-                witness={"order": n, "report": report.to_json_dict()},
-                log=tuple(log),
-            )
-        log.append(f"n={n}: star mean {report.winner_mean}, gap {report.runner_up_gap}")
-    return TheoremVerdict(
-        theorem="star-unique-max-connected-cographs",
-        parameter_range=f"n=7..{n_max}",
-        status="PASS",
-        log=tuple(log),
-    )
-
-
-def verify_skillet_min(n_max: int = 12) -> TheoremVerdict:
-    """The skillet is the unique minimum-mean connected cograph from order 3 up."""
-    if not 3 <= n_max <= 14:
-        raise RangeError(f"skillet minimality sweep supports 3..14, got {n_max}")
-    from .cotree import skillet
-
-    log = []
-    for n in range(3, n_max + 1):
-        report = extremal_search(
-            GeneratorSpec(Family.CONNECTED_COGRAPHS, n), Objective.GLOBAL_MEAN_MIN
-        )
-        expected_mean = closed_form_means(MeanFamily.SKILLET, n)
-        ok = (
-            report.is_unique
-            and report.winner_form == format_cotree(skillet(n))
-            and report.winner_mean == expected_mean
-            and _recheck_by_bruteforce(report.winner_form, report.winner_mean)
-        )
-        if not ok:
-            return TheoremVerdict(
-                theorem="skillet-unique-min-connected-cographs",
-                parameter_range=f"n=3..{n_max}",
-                status="FAIL",
-                witness={"order": n, "report": report.to_json_dict()},
-                log=tuple(log),
-            )
-        log.append(f"n={n}: skillet mean {report.winner_mean}")
-    return TheoremVerdict(
-        theorem="skillet-unique-min-connected-cographs",
-        parameter_range=f"n=3..{n_max}",
-        status="PASS",
-        log=tuple(log),
-    )
-
-
-def verify_disconnected_max(n_max: int = 10) -> TheoremVerdict:
-    """The max-mean disconnected cograph is an isolated vertex plus the
-    best connected cograph one order down; for n >= 8 that second part is a
-    star and the mean matches its closed form."""
-    if not 2 <= n_max <= 12:
-        raise OrderOutOfRange(
-            f"disconnected maximality sweep supports 2..12, got {n_max}"
-        )
-    log = []
-    for n in range(2, n_max + 1):
-        report = extremal_search(
-            GeneratorSpec(Family.DISCONNECTED_COGRAPHS, n), Objective.GLOBAL_MEAN_MAX
-        )
-        expected_tree = canonicalize(
-            Cotree(UNION, (LEAF_TREE, max_mean_connected_cograph(n - 1)))
-        )
-        ok = report.is_unique and report.winner_form == format_cotree(expected_tree)
-        if ok and n >= 8:
-            star_form = canonicalize(Cotree(UNION, (LEAF_TREE, star(n - 1))))
-            ok = (
-                report.winner_form == format_cotree(star_form)
-                and report.winner_mean
-                == closed_form_means(MeanFamily.K1_UNION_STAR, n)
-            )
-        if ok:
-            ok = _recheck_by_bruteforce(report.winner_form, report.winner_mean)
-        if not ok:
-            return TheoremVerdict(
-                theorem="disconnected-max-is-k1-plus-best-connected",
-                parameter_range=f"n=2..{n_max}",
-                status="FAIL",
-                witness={"order": n, "report": report.to_json_dict()},
-                log=tuple(log),
-            )
-        log.append(f"n={n}: {report.winner_form} mean {report.winner_mean}")
-    return TheoremVerdict(
-        theorem="disconnected-max-is-k1-plus-best-connected",
-        parameter_range=f"n=2..{n_max}",
-        status="PASS",
-        log=tuple(log),
-    )
-
 
 _TABLE2_MEANS = {
     3: Fraction(12, 7),
@@ -494,21 +400,91 @@ def _table2_expected_graph(n: int) -> Graph:
     return theta_graph(*internals)
 
 
-def table2_rows(n_max: int = 7) -> list[dict]:
-    """Computed maximum-mean table over connected graphs, orders 3..n_max."""
-    rows = []
-    for n in range(3, n_max + 1):
-        report = extremal_search(
-            GeneratorSpec(Family.CONNECTED_GRAPHS, n), Objective.GLOBAL_MEAN_MAX
-        )
-        rows.append(
-            {
-                "order": n,
-                "winners": [form for form, _ in report.winners],
-                "mean": str(report.winner_mean),
-            }
-        )
-    return rows
+TABLE1 = ExtremalClaim(
+    theorem="max-mean-table-connected-cographs",
+    family=Family.CONNECTED_COGRAPHS,
+    objective=Objective.GLOBAL_MEAN_MAX,
+    lo=1, hi=6, range_label="connected-cograph table",
+    expected_form=lambda n: format_cotree(max_mean_connected_cograph(n)),
+    expected_mean=lambda n: _TABLE1_MEANS[n],
+)
+
+STAR_MAX = ExtremalClaim(
+    theorem="star-unique-max-connected-cographs",
+    family=Family.CONNECTED_COGRAPHS,
+    objective=Objective.GLOBAL_MEAN_MAX,
+    lo=7, hi=14, range_label="star maximality sweep",
+    expected_form=lambda n: format_cotree(star(n)),
+    expected_mean=lambda n: closed_form_means(MeanFamily.STAR, n),
+    log_line=lambda n, r: f"n={n}: star mean {r.winner_mean}, gap {r.runner_up_gap}",
+)
+
+SKILLET_MIN = ExtremalClaim(
+    theorem="skillet-unique-min-connected-cographs",
+    family=Family.CONNECTED_COGRAPHS,
+    objective=Objective.GLOBAL_MEAN_MIN,
+    lo=3, hi=14, range_label="skillet minimality sweep",
+    expected_form=lambda n: format_cotree(skillet(n)),
+    expected_mean=lambda n: closed_form_means(MeanFamily.SKILLET, n),
+    log_line=lambda n, r: f"n={n}: skillet mean {r.winner_mean}",
+)
+
+# From order 8 the best connected cograph one order down is the star, so
+# the winner's mean must also match the K1 u K_{1,n-2} closed form.
+DISCONNECTED_MAX = ExtremalClaim(
+    theorem="disconnected-max-is-k1-plus-best-connected",
+    family=Family.DISCONNECTED_COGRAPHS,
+    objective=Objective.GLOBAL_MEAN_MAX,
+    lo=2, hi=12, range_label="disconnected maximality sweep",
+    expected_form=lambda n: format_cotree(
+        canonicalize(Cotree(UNION, (LEAF_TREE, max_mean_connected_cograph(n - 1))))
+    ),
+    expected_mean=lambda n: (
+        closed_form_means(MeanFamily.K1_UNION_STAR, n) if n >= 8 else None
+    ),
+)
+
+TABLE2 = ExtremalClaim(
+    theorem="max-mean-table-connected-graphs",
+    family=Family.CONNECTED_GRAPHS,
+    objective=Objective.GLOBAL_MEAN_MAX,
+    lo=3, hi=8, range_label="connected-graph table",
+    expected_form=lambda n: emit_graph6(canonical_graph(_table2_expected_graph(n))),
+    expected_mean=lambda n: _TABLE2_MEANS[n],
+    recheck=False,
+)
+
+PATH_MIN = ExtremalClaim(
+    theorem="path-unique-min-connected-graphs",
+    family=Family.CONNECTED_GRAPHS,
+    objective=Objective.GLOBAL_MEAN_MIN,
+    lo=3, hi=8, range_label="path-minimum sweep",
+    expected_form=lambda n: emit_graph6(canonical_graph(path_graph(n))),
+    log_line=lambda n, r: f"n={n}: path mean {r.winner_mean}",
+    recheck=False,
+)
+
+
+def verify_table1(n_max: int = 6) -> TheoremVerdict:
+    """Unique maximum-mean connected cographs for orders 1..n_max, exact means."""
+    return run_claim(TABLE1, n_max)
+
+
+def verify_star_max(n_max: int = 12) -> TheoremVerdict:
+    """The star is the unique maximum-mean connected cograph from order 7 up."""
+    return run_claim(STAR_MAX, n_max)
+
+
+def verify_skillet_min(n_max: int = 12) -> TheoremVerdict:
+    """The skillet is the unique minimum-mean connected cograph from order 3 up."""
+    return run_claim(SKILLET_MIN, n_max)
+
+
+def verify_disconnected_max(n_max: int = 10) -> TheoremVerdict:
+    """The max-mean disconnected cograph is an isolated vertex plus the
+    best connected cograph one order down; for n >= 8 that second part is a
+    star and the mean matches its closed form."""
+    return run_claim(DISCONNECTED_MAX, n_max)
 
 
 def verify_table2(n_max: int = 7) -> TheoremVerdict:
@@ -516,72 +492,21 @@ def verify_table2(n_max: int = 7) -> TheoremVerdict:
     pinned mean of the 3x3 grid.  The grid is a reference value only: it is
     known not to be the order-9 maximum, since theta(2, 2, 3) has the larger
     mean 357/71."""
-    if not 3 <= n_max <= 8:
-        raise OrderOutOfRange(f"connected-graph table supports 3..8, got {n_max}")
-    log = []
-    for n in range(3, n_max + 1):
-        report = extremal_search(
-            GeneratorSpec(Family.CONNECTED_GRAPHS, n), Objective.GLOBAL_MEAN_MAX
-        )
-        expected_form = emit_graph6(canonical_graph(_table2_expected_graph(n)))
-        ok = (
-            report.is_unique
-            and report.winner_form == expected_form
-            and report.winner_mean == _TABLE2_MEANS[n]
-        )
-        if not ok:
-            return TheoremVerdict(
-                theorem="max-mean-table-connected-graphs",
-                parameter_range=f"n=3..{n_max}",
-                status="FAIL",
-                witness={"order": n, "report": report.to_json_dict()},
-                log=tuple(log),
-            )
-        log.append(f"n={n}: {report.winner_form} mean {report.winner_mean}")
+    verdict = run_claim(TABLE2, n_max)
+    if not verdict.passed:
+        return verdict
     grid_mean = global_mean(phi_bruteforce(grid_graph(3, 3)))
     if grid_mean != _GRID_3X3_MEAN:
-        return TheoremVerdict(
-            theorem="max-mean-table-connected-graphs",
-            parameter_range=f"n=3..{n_max}",
-            status="FAIL",
-            witness={"order": 9, "grid_mean": str(grid_mean)},
-            log=tuple(log),
+        return replace(
+            verdict, status="FAIL", witness={"order": 9, "grid_mean": str(grid_mean)}
         )
-    log.append(f"n=9: 3x3 grid mean {grid_mean} (pinned value, maximality unverified)")
-    return TheoremVerdict(
-        theorem="max-mean-table-connected-graphs",
-        parameter_range=f"n=3..{n_max}",
-        status="PASS",
-        log=tuple(log),
-    )
+    line = f"n=9: 3x3 grid mean {grid_mean} (pinned value, maximality unverified)"
+    return replace(verdict, log=verdict.log + (line,))
 
 
 def verify_path_min_conjecture(n_max: int = 7) -> TheoremVerdict:
     """The path is the unique minimum-mean connected graph up to n_max."""
-    if not 3 <= n_max <= 8:
-        raise OrderOutOfRange(f"path-minimum sweep supports 3..8, got {n_max}")
-    log = []
-    for n in range(3, n_max + 1):
-        report = extremal_search(
-            GeneratorSpec(Family.CONNECTED_GRAPHS, n), Objective.GLOBAL_MEAN_MIN
-        )
-        expected_form = emit_graph6(canonical_graph(path_graph(n)))
-        ok = report.is_unique and report.winner_form == expected_form
-        if not ok:
-            return TheoremVerdict(
-                theorem="path-unique-min-connected-graphs",
-                parameter_range=f"n=3..{n_max}",
-                status="FAIL",
-                witness={"order": n, "report": report.to_json_dict()},
-                log=tuple(log),
-            )
-        log.append(f"n={n}: path mean {report.winner_mean}")
-    return TheoremVerdict(
-        theorem="path-unique-min-connected-graphs",
-        parameter_range=f"n=3..{n_max}",
-        status="PASS",
-        log=tuple(log),
-    )
+    return run_claim(PATH_MIN, n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -595,15 +520,18 @@ def _bipartite_mean(s: int, n: int) -> Fraction:
 
 
 def _bipartite_mstar(s: int, n: int) -> Fraction:
-    value, deriv = closed_form_psi(s, n)
-    return Fraction(deriv, value)
+    return closed_form_means(MeanFamily.COMPLETE_BIPARTITE_MSTAR, n, s)
 
 
 def _star_mstar(n: int) -> Fraction:
-    """M* mean of the star on n vertices (0 for the single vertex)."""
+    """M* mean of the star on n vertices (0 for the single vertex).
+
+    STAR_MSTAR indexes the star K_{1,n-3}, on n-2 vertices, by the
+    ambient order n; hence the shift by two.
+    """
     if n == 1:
         return Fraction(0)
-    return Fraction(2 ** (n - 2) * (n + 1) - 1, 2 ** (n - 1) - 1)
+    return closed_form_means(MeanFamily.STAR_MSTAR, n + 2)
 
 
 def _sweep_verdict(

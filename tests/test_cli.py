@@ -1,10 +1,20 @@
 """Command-line interface: outputs, exit codes, config plumbing."""
 
+import hashlib
 import json
 
 import pytest
 
-from cographmean.cli import main
+from cographmean import (
+    Cotree,
+    Graph,
+    MeanFamily,
+    closed_form_means,
+    cotree_to_graph,
+    emit_graph6,
+    star,
+)
+from cographmean.cli import _parse_input, main
 
 
 def run(capsys, *argv):
@@ -179,3 +189,93 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["mean"])
     assert err.value.code == 2
+
+
+# The stdout of these runs, byte for byte, as captured before the verdict
+# loops were folded into one claim runner.
+VERIFY_STDOUT_SHA256 = {
+    "table1": "618395a1e1ee739a27ee869426d238050548b0ba6d114a3d87682335045515c9",
+    "star-max --nmax 8": "7f7e93ea01338db61af7d2128f0dd1d1c9b6a4caa3835690f4b22904a5506de3",
+    "skillet-min --nmax 8": "7331180a5cd2c8bf3f3e33678b9f4c9c2cec316c3504cff86f221b34f49e6443",
+    "disconnected-max --nmax 9": "9919cfdfa1f2ac9aec4781dffaf6d4fc3386e77907de37dea36ea32e1f9d8557",
+    "table2 --nmax 5": "072b683cfcbff90f83972c54010d4eb758322e7a464f30eb2299b8d473ed009e",
+    "path-conjecture --nmax 6": "b340c46124609738dbea24b52cea2b3f7bde7b8c8e45e15b51a2bd8ef9c164eb",
+    "table2 --nmax 6 --golden": "d1e4ff2c1065ce7808c169cf526abb85c1b30f2ce96f6e24ac00aa0d308a0dba",
+    "table1 --golden": "435eaef8c0407c47f95021fc33073863d8d846b841b7e14ef22b0ea1b52abe9c",
+    "inequalities --nmax 16": "7301d1df1689ef59e86b252118bee09ebd3c1731dea89f0c4bc5790657d5fe74",
+}
+
+
+@pytest.mark.parametrize("arguments", sorted(VERIFY_STDOUT_SHA256))
+def test_verify_stdout_is_pinned(capsys, arguments):
+    code, out, _ = run(capsys, "verify", *arguments.split())
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == VERIFY_STDOUT_SHA256[arguments]
+
+
+def test_verify_table1_honours_nmax(capsys):
+    code, out, _ = run(capsys, "verify", "table1", "--nmax", "3")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["nmax"] == 3
+    (verdict,) = payload["verdicts"]
+    assert verdict["parameter_range"] == "n=1..3"
+    assert len(verdict["log"]) == 3
+
+
+def assert_usage_error(code, out, err):
+    """Exit 2, nothing on stdout, one ``error:`` line on stderr, no traceback."""
+    assert code == 2
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_verify_table1_nmax_out_of_range(capsys):
+    assert_usage_error(*run(capsys, "verify", "table1", "--nmax", "7"))
+
+
+def test_non_integer_cap_env_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("COGRAPHMEAN_BRUTE_FORCE_CAP", "abc")
+    assert_usage_error(*run(capsys, "mean", "J(L,L)"))
+
+
+def test_invalid_shard_is_usage_error(capsys):
+    assert_usage_error(
+        *run(capsys, "enumerate", "connected-cographs", "5", "--shard", "3/2")
+    )
+
+
+def test_missing_golden_file_is_usage_error(capsys, tmp_path):
+    assert_usage_error(
+        *run(capsys, "verify", "table1", "--golden", "--golden-dir", str(tmp_path))
+    )
+
+
+@pytest.mark.parametrize(
+    "graph6, mean",
+    [
+        ("LsaCCA?_C?O?_?", "7171/1027"),  # the 13-vertex star
+        ("JsaCCA?_C??", "3077/517"),  # the 11-vertex star
+    ],
+)
+def test_graph6_starting_with_cotree_letter(capsys, graph6, mean):
+    assert isinstance(_parse_input(graph6), Graph)
+    code, out, _ = run(capsys, "mean", graph6)
+    assert code == 0 and out.strip() == mean
+
+
+def test_graph6_of_order_22_parses_as_graph6(capsys):
+    text = emit_graph6(cotree_to_graph(star(22)))
+    assert text.startswith("U")
+    assert isinstance(_parse_input(text), Graph)
+    code, out, _ = run(capsys, "mean", text)
+    assert code == 0
+    assert out.strip() == str(closed_form_means(MeanFamily.STAR, 22))
+
+
+@pytest.mark.parametrize("text", ["J(L,L)", "L", "U (L,L)"])
+def test_cotree_letters_still_parse_as_cotrees(text):
+    assert isinstance(_parse_input(text), Cotree)

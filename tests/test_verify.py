@@ -1,5 +1,7 @@
 """Extremal searches, verdicts, sweeps, and the counterexample machinery."""
 
+import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -22,6 +24,8 @@ from cographmean import (
     verify_table1,
     verify_table2,
 )
+from cographmean import verify as verify_module
+from cographmean.cli import main
 from cographmean.errors import OrderOutOfRange, RangeError
 from cographmean.verify import (
     grid_graph,
@@ -176,3 +180,59 @@ def test_verdict_json_shape():
     data = verdict.to_json_dict()
     assert set(data) == {"theorem", "parameter_range", "status", "witness", "log"}
     assert data["status"] == "PASS"
+
+
+@pytest.mark.parametrize(
+    "suite, check, n_max",
+    [
+        ("table1", verify_table1, 3),
+        ("star-max", verify_star_max, 8),
+        ("skillet-min", verify_skillet_min, 5),
+        ("disconnected-max", verify_disconnected_max, 4),
+        ("table2", verify_table2, 5),
+        ("path-conjecture", verify_path_min_conjecture, 5),
+    ],
+)
+def test_tied_winner_fails_at_its_order(monkeypatch, capsys, suite, check, n_max):
+    """A tie at the top order fails the claim there, keeping earlier logs."""
+    real_search = verify_module.extremal_search
+    tied_reports = []
+
+    def search_with_tie(spec, objective):
+        report = real_search(spec, objective)
+        if spec.order != n_max:
+            return report
+        tied = replace(report, winners=report.winners + (("tie", report.winner_mean),))
+        tied_reports.append(tied)
+        return tied
+
+    monkeypatch.setattr(verify_module, "extremal_search", search_with_tie)
+    passing = check(n_max - 1)
+    verdict = check(n_max)
+    assert passing.passed
+    assert verdict.status == "FAIL"
+    assert verdict.witness == {"order": n_max, "report": tied_reports[0].to_json_dict()}
+    # table2's grid line comes after the sweep, so a failed sweep drops it
+    earlier = tuple(line for line in passing.log if not line.startswith("n=9:"))
+    assert verdict.log == earlier
+    assert earlier[-1].startswith(f"n={n_max - 1}:")
+    assert main(["verify", suite, "--nmax", str(n_max)]) == 1
+    assert json.loads(capsys.readouterr().out)["verdicts"][0]["status"] == "FAIL"
+
+
+def test_disconnected_max_checks_closed_form_mean_from_order_8(monkeypatch):
+    """Below order 8 the claim pins no mean; from 8 on, K1 u K_{1,n-2}'s."""
+    real_search = verify_module.extremal_search
+
+    def search_with_wrong_mean(spec, objective):
+        report = real_search(spec, objective)
+        ((form, mean),) = report.winners
+        return replace(report, winners=((form, mean + 1),))
+
+    monkeypatch.setattr(verify_module, "extremal_search", search_with_wrong_mean)
+    monkeypatch.setattr(verify_module, "_recheck_by_bruteforce", lambda report: True)
+    assert verify_disconnected_max(7).passed
+    verdict = verify_disconnected_max(8)
+    assert verdict.status == "FAIL"
+    assert verdict.witness["order"] == 8
+    assert len(verdict.log) == 6
