@@ -6,7 +6,7 @@ optional whitespace) by ``(`` starts a cotree expression, anything else is
 graph6.  All numeric output is exact
 ("num/den" strings); ``--decimal`` appends a clearly marked 12-digit
 approximation.  Exit codes: 0 all good, 1 verification failure, 2
-usage/parse error.
+usage/parse error, 141 stdout closed by the reader.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from .verify import (
 )
 
 _ENV_PREFIX = "COGRAPHMEAN_"
+_FORMATS = ("json", "tsv")
 
 
 @dataclass
@@ -80,6 +81,10 @@ def _resolve_config(args: argparse.Namespace) -> CliConfig:
         cfg.brute_force_cap = cap
     fmt = getattr(args, "format", None) or _env("FORMAT")
     if fmt:
+        if fmt not in _FORMATS:
+            raise ConfigError(
+                f"{_ENV_PREFIX}FORMAT: expected one of {', '.join(_FORMATS)}, got {fmt!r}"
+            )
         cfg.output_format = fmt
     cfg.golden_dir = getattr(args, "golden_dir", None) or _env("GOLDEN_DIR")
     return cfg
@@ -338,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=list(_SUITES) + ["all"])
     p_verify.add_argument("--nmax", type=int, help="override the suite's order cap")
-    p_verify.add_argument("--format", choices=["json", "tsv"])
+    p_verify.add_argument("--format", choices=_FORMATS)
     p_verify.add_argument(
         "--golden", action="store_true", help="also diff tables against golden files"
     )
@@ -352,10 +357,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except CographMeanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout.  Point stdout at devnull so that the
+        # interpreter's flush at exit cannot raise again; 141 is 128 + SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -41,17 +41,26 @@ _LETTER = {UNION: "U", JOIN: "J"}
 
 @dataclass(frozen=True)
 class Cotree:
-    """Immutable cotree node; equality and hashing are structural."""
+    """Immutable cotree node.
 
-    kind: str
-    children: tuple["Cotree", ...] = ()
+    Each node stores its printed expression in ``form`` when it is built.
+    Equality and hashing read only ``form``.  The printed expression
+    determines the ordered tree, so this is the same relation as structural
+    equality of kind and children, at the cost of one string comparison and
+    a cached string hash.
+    """
+
+    kind: str = field(compare=False)
+    children: tuple["Cotree", ...] = field(default=(), compare=False)
     leaf_count: int = field(init=False, compare=False, repr=False)
+    form: str = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind == LEAF:
             if self.children:
                 raise ValueError("a leaf cannot have children")
             object.__setattr__(self, "leaf_count", 1)
+            object.__setattr__(self, "form", "L")
         elif self.kind in (UNION, JOIN):
             if len(self.children) < 2:
                 raise ArityError(
@@ -60,6 +69,11 @@ class Cotree:
                 )
             object.__setattr__(
                 self, "leaf_count", sum(c.leaf_count for c in self.children)
+            )
+            object.__setattr__(
+                self,
+                "form",
+                _LETTER[self.kind] + "(" + ",".join(c.form for c in self.children) + ")",
             )
         else:
             raise ValueError(f"unknown cotree node kind {self.kind!r}")
@@ -70,9 +84,7 @@ LEAF_TREE = Cotree(LEAF)
 
 def format_cotree(t: Cotree) -> str:
     """Printed expression of a cotree; canonical trees round-trip exactly."""
-    if t.kind == LEAF:
-        return "L"
-    return _LETTER[t.kind] + "(" + ",".join(format_cotree(c) for c in t.children) + ")"
+    return t.form
 
 
 def canonicalize(t: Cotree) -> Cotree:

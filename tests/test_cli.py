@@ -2,8 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import cographmean
 
 from cographmean import (
     Cotree,
@@ -15,6 +21,7 @@ from cographmean import (
     star,
 )
 from cographmean.cli import _parse_input, main
+from cographmean.enumeration import MAX_COTREE_LEAVES
 
 
 def run(capsys, *argv):
@@ -246,6 +253,37 @@ def test_invalid_shard_is_usage_error(capsys):
     assert_usage_error(
         *run(capsys, "enumerate", "connected-cographs", "5", "--shard", "3/2")
     )
+
+
+def test_format_env_is_validated(capsys, monkeypatch):
+    monkeypatch.setenv("COGRAPHMEAN_FORMAT", "xml")
+    assert_usage_error(*run(capsys, "verify", "table1"))
+
+
+def test_cotree_enumeration_past_the_cap_is_usage_error(capsys):
+    assert_usage_error(
+        *run(capsys, "enumerate", "cographs", str(MAX_COTREE_LEAVES + 1))
+    )
+
+
+def test_closed_stdout_exits_141_without_traceback(tmp_path):
+    # 600 kB of output: more than a pipe holds, so the writer is still
+    # writing when the reader goes away.
+    env = dict(os.environ, PYTHONPATH=str(Path(cographmean.__file__).parents[1]))
+    err_path = tmp_path / "stderr"
+    with open(err_path, "wb") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cographmean.cli", "enumerate", "cographs", "11"],
+            stdout=subprocess.PIPE,
+            stderr=err,
+            env=env,
+        )
+    try:
+        assert proc.stdout.read(1) == b"J"
+    finally:
+        proc.stdout.close()
+    assert proc.wait(timeout=60) == 141
+    assert err_path.read_bytes() == b""
 
 
 def test_missing_golden_file_is_usage_error(capsys, tmp_path):

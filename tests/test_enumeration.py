@@ -16,17 +16,31 @@ from cographmean import (
     graph_to_cotree,
     is_connected,
 )
-from cographmean.cotree import cotree_to_graph
-from cographmean.enumeration import _adj_to_code, _code_to_adj, _graph_classes, _min_code
+from cographmean.cotree import JOIN, LEAF, UNION, canonicalize, cotree_to_graph
+from cographmean.enumeration import (
+    MAX_COTREE_LEAVES,
+    _adj_to_code,
+    _code_to_adj,
+    _cotree_pool,
+    _graph_classes,
+    _min_code,
+)
 from cographmean.errors import OrderOutOfRange
 from cographmean.graph import Graph
 
 
-COTREE_COUNTS = {1: 1, 2: 2, 3: 4, 4: 10, 5: 24, 6: 66, 7: 180}
-CONNECTED_COTREE_COUNTS = {1: 1, 2: 1, 3: 2, 4: 5, 5: 12, 6: 33, 7: 90}
+# OEIS A000084 (cographs) and A000669 (connected cographs)
+COTREE_COUNTS = {
+    1: 1, 2: 2, 3: 4, 4: 10, 5: 24, 6: 66, 7: 180,
+    8: 522, 9: 1532, 10: 4624, 11: 14136, 12: 43930,
+}
+CONNECTED_COTREE_COUNTS = {
+    1: 1, 2: 1, 3: 2, 4: 5, 5: 12, 6: 33, 7: 90,
+    8: 261, 9: 766, 10: 2312, 11: 7068, 12: 21965,
+}
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("n", range(1, 13))
 def test_cotree_counts(n):
     assert sum(1 for _ in enumerate_cotrees(n)) == COTREE_COUNTS[n]
     assert (
@@ -61,6 +75,23 @@ def test_cotrees_emitted_in_lexicographic_order_without_duplicates():
         assert len(set(forms)) == len(forms)
 
 
+def _printed(t):
+    """Plain recursive printer, independent of the form stored on each node."""
+    if t.kind == LEAF:
+        return "L"
+    letter = {UNION: "U", JOIN: "J"}[t.kind]
+    return letter + "(" + ",".join(_printed(c) for c in t.children) + ")"
+
+
+def test_pool_trees_are_canonical_and_carry_their_printed_form():
+    for n in range(2, 10):
+        for kind in (UNION, JOIN):
+            for t in _cotree_pool(n, kind):
+                assert canonicalize(t) == t
+                assert t.form == _printed(t)
+                assert _printed(canonicalize(t)) == _printed(t)
+
+
 def test_cotrees_round_trip_through_graphs():
     for n in range(1, 7):
         for t in enumerate_cotrees(n):
@@ -72,6 +103,8 @@ def test_cotree_enumeration_range():
         list(enumerate_cotrees(0))
     with pytest.raises(OrderOutOfRange):
         list(enumerate_cotrees(21))
+    with pytest.raises(OrderOutOfRange):
+        list(enumerate_cotrees(MAX_COTREE_LEAVES + 1))
 
 
 GRAPH_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
