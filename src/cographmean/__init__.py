@@ -3,7 +3,7 @@
 Computes the generating polynomial of connected induced subgraphs (global
 and per-vertex), the derived means, densities, and node reliability, with
 cographs handled structurally through canonical cotrees and arbitrary small
-graphs through exhaustive subset scans.  Ships deterministic enumerators
+graphs by enumerating their connected sets.  Ships deterministic enumerators
 for cographs, small graphs, and caterpillars, and a verification harness
 that re-derives the package's headline extremal facts exactly.
 """

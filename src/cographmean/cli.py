@@ -153,7 +153,8 @@ def _cmd_mean(args: argparse.Namespace) -> int:
     obj = _parse_input(args.input)
     lines: list[tuple[str, str]] = []
     want_global = not (args.mstar or args.density or args.local is not None)
-    p = _phi_for_input(obj, cfg, args.cotree_only)
+    if want_global or args.mstar or args.density or args.poly:
+        p = _phi_for_input(obj, cfg, args.cotree_only)
     if want_global:
         lines.append(("mean", _format_value(global_mean(p), args.decimal)))
     if args.local is not None:
@@ -272,6 +273,12 @@ def _emit_tsv(suites: list[dict]) -> str:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.suite == "all" and args.nmax is not None:
+        # The suites' --nmax ranges do not overlap, so no single N fits them all.
+        raise ConfigError(
+            "--nmax applies to a single suite; "
+            "'all' runs each suite over its default range"
+        )
     cfg = _resolve_config(args)
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     suites = []
@@ -323,14 +330,14 @@ def _build_parser() -> argparse.ArgumentParser:
         help="reject graph6 inputs that are not cographs instead of brute-forcing",
     )
     p_mean.add_argument("--decimal", action="store_true", help="append ~12-digit decimals")
-    p_mean.add_argument("--brute-force-cap", type=int, help="subset-scan order cap")
+    p_mean.add_argument("--brute-force-cap", type=int, help="order cap for non-cographs")
     p_mean.set_defaults(func=_cmd_mean)
 
     p_rel = sub.add_parser("reliability", help="exact node reliability at a rational p")
     p_rel.add_argument("input", help="cotree expression or graph6 string")
     p_rel.add_argument("--p", type=_fraction_arg, required=True, metavar="NUM/DEN")
     p_rel.add_argument("--decimal", action="store_true", help="append ~12-digit decimals")
-    p_rel.add_argument("--brute-force-cap", type=int, help="subset-scan order cap")
+    p_rel.add_argument("--brute-force-cap", type=int, help="order cap for non-cographs")
     p_rel.set_defaults(func=_cmd_reliability)
 
     p_enum = sub.add_parser("enumerate", help="stream an isomorphism-class family")

@@ -115,14 +115,11 @@ def enumerate_cotrees(order: int, connectivity: str = "all") -> Iterator[Cotree]
         if connectivity != "disconnected":
             yield LEAF_TREE
         return
-    if connectivity == "connected":
+    if connectivity != "disconnected":
         yield from _cotree_pool(order, JOIN)
-    elif connectivity == "disconnected":
+    if connectivity != "connected":
+        # Every Union form sorts after every Join form ("U" > "J").
         yield from _cotree_pool(order, UNION)
-    else:
-        yield from sorted(
-            _cotree_pool(order, JOIN) + _cotree_pool(order, UNION), key=format_cotree
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -291,7 +291,7 @@ def merge_extremal_reports(a: ExtremalReport, b: ExtremalReport) -> ExtremalRepo
 
 
 def _recheck_by_bruteforce(report: ExtremalReport) -> bool:
-    """Recompute a cotree winner's mean with the subset-scan oracle."""
+    """Recompute a cotree winner's mean with ``phi_bruteforce``."""
     graph = cotree_to_graph(parse_cotree(report.winner_form))
     return global_mean(phi_bruteforce(graph)) == report.winner_mean
 
@@ -310,7 +310,7 @@ class ExtremalClaim:
     """At every order n in ``lo..n_max``, ``objective`` over ``family`` has
     exactly one winner, printed as ``expected_form(n)``, with mean
     ``expected_mean(n)`` unless that is None.  With ``recheck`` the mean is
-    also recomputed by the subset-scan oracle (cotree families only)."""
+    also recomputed by the connected-set counter (cotree families only)."""
 
     theorem: str
     family: Family

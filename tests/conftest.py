@@ -61,16 +61,22 @@ def oracle_connected(g: Graph, subset: int) -> bool:
     return seen == vset
 
 
-def oracle_phi_coeffs(g: Graph) -> tuple[int, ...]:
-    """Subset scan over index tuples rather than masks."""
-    counts = [0] * g.order
+def oracle_connected_subsets(g: Graph):
+    """Every connected vertex subset as an index tuple, by a scan over all subsets."""
     for k in range(1, g.order + 1):
         for sub in combinations(range(g.order), k):
             mask = 0
             for v in sub:
                 mask |= 1 << v
             if oracle_connected(g, mask):
-                counts[k - 1] += 1
+                yield sub
+
+
+def oracle_phi_coeffs(g: Graph) -> tuple[int, ...]:
+    """Subset scan over index tuples rather than masks."""
+    counts = [0] * g.order
+    for sub in oracle_connected_subsets(g):
+        counts[len(sub) - 1] += 1
     return tuple(counts)
 
 

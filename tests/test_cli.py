@@ -18,6 +18,7 @@ from cographmean import (
     closed_form_means,
     cotree_to_graph,
     emit_graph6,
+    from_edge_list,
     star,
 )
 from cographmean.cli import _parse_input, main
@@ -317,3 +318,51 @@ def test_graph6_of_order_22_parses_as_graph6(capsys):
 @pytest.mark.parametrize("text", ["J(L,L)", "L", "U (L,L)"])
 def test_cotree_letters_still_parse_as_cotrees(text):
     assert isinstance(_parse_input(text), Cotree)
+
+
+def test_verify_all_rejects_nmax(capsys):
+    # The suites' --nmax ranges do not overlap, so one N cannot fit all of them.
+    code, out, err = run(capsys, "verify", "all", "--nmax", "9")
+    assert_usage_error(code, out, err)
+    assert "--nmax" in err and "all" in err
+
+
+_P4 = "Ch"  # the 4-path: not a cograph
+
+
+def test_local_mean_skips_the_global_polynomial(capsys, monkeypatch):
+    assert emit_graph6(from_edge_list(4, [(0, 1), (1, 2), (2, 3)])) == _P4
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the global polynomial is not needed for --local")
+
+    monkeypatch.setattr("cographmean.cli.phi_bruteforce", refuse)
+    # connected sets through vertex 1: {1}, {0,1}, {1,2}, {0,1,2}, {1,2,3}, {0,1,2,3}
+    code, out, _ = run(capsys, "mean", _P4, "--local", "1")
+    assert code == 0 and out.strip() == "5/2"
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ("--local", "0", "--brute-force-cap", "3"),  # the cap
+        ("--local", "4"),  # VertexOutOfRange
+        ("--local", "0", "--cotree-only"),  # NotACograph
+    ],
+)
+def test_local_mean_errors_without_the_global_polynomial(capsys, extra):
+    assert_usage_error(*run(capsys, "mean", _P4, *extra))
+
+
+def test_local_mean_on_a_cotree_rejects_a_bad_leaf(capsys):
+    assert_usage_error(*run(capsys, "mean", "J(L,L)", "--local", "2"))
+
+
+def test_local_mean_with_poly_prints_both_polynomials(capsys):
+    code, out, _ = run(capsys, "mean", _P4, "--local", "0", "--poly")
+    assert code == 0
+    first, *rest = out.strip().splitlines()
+    assert first == "5/2"  # a lone quantity prints without a label
+    lines = dict(line.split("\t", 1) for line in rest)
+    assert json.loads(lines["poly"]) == {"n": 4, "coeffs": ["4", "3", "2", "1"]}
+    assert json.loads(lines["local_poly"]) == {"n": 4, "coeffs": ["1", "1", "1", "1"]}
