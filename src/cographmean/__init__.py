@@ -71,7 +71,6 @@ from .verify import (
     find_local_counterexample,
     grid_graph,
     max_mean_connected_cograph,
-    merge_extremal_reports,
     path_graph,
     theta_graph,
     verify_disconnected_max,

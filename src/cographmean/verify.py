@@ -14,10 +14,9 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from math import comb
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .cotree import (
-    JOIN,
     UNION,
     Cotree,
     LEAF_TREE,
@@ -32,6 +31,7 @@ from .cotree import (
 )
 from .enumeration import (
     MAX_CATERPILLAR_ORDER,
+    _COTREE_FILTER,
     Family,
     GeneratorSpec,
     canonical_graph,
@@ -250,46 +250,6 @@ def extremal_search(spec: GeneratorSpec, objective: Objective) -> ExtremalReport
     )
 
 
-def merge_extremal_reports(a: ExtremalReport, b: ExtremalReport) -> ExtremalReport:
-    """Combine two shard reports of the same search; associative and exact."""
-    if (a.family, a.order, a.objective) != (b.family, b.order, b.objective):
-        raise ValueError("cannot merge reports of different searches")
-    maximize = a.objective == Objective.GLOBAL_MEAN_MAX.value
-
-    def better(x: Fraction, y: Fraction) -> bool:
-        return x > y if maximize else x < y
-
-    values: list[Fraction] = []
-    for rep in (a, b):
-        if rep.winners:
-            values.append(rep.winner_mean)
-        if rep.runner_up_gap is not None:
-            second = (
-                rep.winner_mean - rep.runner_up_gap
-                if maximize
-                else rep.winner_mean + rep.runner_up_gap
-            )
-            values.append(second)
-    best = None
-    for v in values:
-        if best is None or better(v, best):
-            best = v
-    winners = sorted(
-        {pair for rep in (a, b) for pair in rep.winners if pair[1] == best}
-    )
-    second = None
-    for v in values:
-        if v != best and (second is None or better(v, second)):
-            second = v
-    return ExtremalReport(
-        family=a.family,
-        order=a.order,
-        objective=a.objective,
-        winners=tuple(winners),
-        runner_up_gap=None if second is None else abs(best - second),
-    )
-
-
 def _recheck_by_bruteforce(report: ExtremalReport) -> bool:
     """Recompute a cotree winner's mean with ``phi_bruteforce``."""
     graph = cotree_to_graph(parse_cotree(report.winner_form))
@@ -309,8 +269,8 @@ def _form_and_mean(n: int, report: ExtremalReport) -> str:
 class ExtremalClaim:
     """At every order n in ``lo..n_max``, ``objective`` over ``family`` has
     exactly one winner, printed as ``expected_form(n)``, with mean
-    ``expected_mean(n)`` unless that is None.  With ``recheck`` the mean is
-    also recomputed by the connected-set counter (cotree families only)."""
+    ``expected_mean(n)`` unless that is None.  On cotree families the mean
+    is also recomputed by the connected-set counter."""
 
     theorem: str
     family: Family
@@ -321,7 +281,6 @@ class ExtremalClaim:
     expected_form: Callable[[int], str]
     expected_mean: Callable[[int], Fraction | None] = lambda n: None
     log_line: Callable[[int, ExtremalReport], str] = _form_and_mean
-    recheck: bool = True
 
 
 def _claim_reports(
@@ -344,7 +303,7 @@ def run_claim(claim: ExtremalClaim, n_max: int) -> TheoremVerdict:
             report.is_unique
             and report.winner_form == claim.expected_form(n)
             and (expected_mean is None or report.winner_mean == expected_mean)
-            and (not claim.recheck or _recheck_by_bruteforce(report))
+            and (claim.family not in _COTREE_FILTER or _recheck_by_bruteforce(report))
         ):
             witness = {"order": n, "report": report.to_json_dict()}
             break
@@ -451,7 +410,6 @@ TABLE2 = ExtremalClaim(
     lo=3, hi=8, range_label="connected-graph table",
     expected_form=lambda n: emit_graph6(canonical_graph(_table2_expected_graph(n))),
     expected_mean=lambda n: _TABLE2_MEANS[n],
-    recheck=False,
 )
 
 PATH_MIN = ExtremalClaim(
@@ -461,7 +419,6 @@ PATH_MIN = ExtremalClaim(
     lo=3, hi=8, range_label="path-minimum sweep",
     expected_form=lambda n: emit_graph6(canonical_graph(path_graph(n))),
     log_line=lambda n, r: f"n={n}: path mean {r.winner_mean}",
-    recheck=False,
 )
 
 
@@ -510,6 +467,52 @@ def verify_path_min_conjecture(n_max: int = 7) -> TheoremVerdict:
 
 
 # ---------------------------------------------------------------------------
+# sweeps: one record per checked statement, one runner for all of them
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Sweep:
+    """A statement checked over a parameter range.  ``rows(n_max)`` yields a
+    dict for each failure and a string for each log line; ``range_label`` is
+    a format string that takes ``n_max``."""
+
+    theorem: str
+    range_label: str
+    rows: Callable[[int], Iterator[dict | str]]
+
+
+def run_sweep(sweep: Sweep, n_max: int) -> TheoremVerdict:
+    """PASS unless ``sweep`` yields a failure row; every failure is kept."""
+    failures, log = [], []
+    for row in sweep.rows(n_max):
+        (log if isinstance(row, str) else failures).append(row)
+    return TheoremVerdict(
+        theorem=sweep.theorem,
+        parameter_range=sweep.range_label.format(n_max=n_max),
+        status="PASS" if not failures else "FAIL",
+        witness={"failures": failures} if failures else None,
+        log=tuple(log),
+    )
+
+
+def _misses(
+    holds: Callable[..., bool], points: Iterable[tuple[int, ...]], **extra: str
+) -> Iterator[dict]:
+    """A failure row for each point, ``(n,)`` or ``(n, s)``, where ``holds``
+    is false."""
+    for point in points:
+        if not holds(*point):
+            yield {**dict(zip(("n", "s"), point)), **extra}
+
+
+def _below_threshold(holds: Callable[[int], bool], threshold: int) -> Iterator[str]:
+    """Log lines for n=4..threshold-1, where the statement is not claimed."""
+    for n in range(4, threshold):
+        yield f"n={n} below threshold: {'holds' if holds(n) else 'fails'}"
+
+
+# ---------------------------------------------------------------------------
 # closed-form inequality sweeps
 # ---------------------------------------------------------------------------
 
@@ -534,19 +537,151 @@ def _star_mstar(n: int) -> Fraction:
     return closed_form_means(MeanFamily.STAR_MSTAR, n + 2)
 
 
-def _sweep_verdict(
-    theorem: str,
-    parameter_range: str,
-    failures: list[dict],
-    log: list[str],
-) -> TheoremVerdict:
-    return TheoremVerdict(
-        theorem=theorem,
-        parameter_range=parameter_range,
-        status="PASS" if not failures else "FAIL",
-        witness={"failures": failures} if failures else None,
-        log=tuple(log),
+def _mstar_balance_rows(n_max: int) -> Iterator[dict | str]:
+    # M* of complete bipartite graphs decreases as the parts balance,
+    # so the star tops every order.
+    yield from _misses(
+        lambda n, s: _bipartite_mstar(s, n) > _bipartite_mstar(s + 1, n),
+        ((n, s) for n in range(4, n_max + 1) for s in range(1, n // 2)),
     )
+    yield from _misses(
+        lambda n, s: _bipartite_mstar(1, n) >= _bipartite_mstar(s, n),
+        ((n, s) for n in range(2, n_max + 1) for s in range(2, n)),
+        clause="star-top",
+    )
+
+
+def _star_mstar_rows(n_max: int) -> Iterator[dict | str]:
+    # The star's M* mean increases with order and sits in ((n+1)/2, (n+2)/2].
+    yield from _misses(
+        lambda n: _star_mstar(n + 1) > _star_mstar(n),
+        ((n,) for n in range(1, n_max)),
+        clause="increasing",
+    )
+    orders = [(n,) for n in range(2, n_max + 1)]
+    yield from _misses(
+        lambda n: Fraction(n + 1, 2) < _star_mstar(n) <= Fraction(n + 2, 2),
+        orders,
+        clause="bounds",
+    )
+    yield from _misses(
+        lambda n: _star_mstar(n) == _bipartite_mstar(1, n),
+        orders,
+        clause="psi-consistency",
+    )
+    yield f"values: n=1: {_star_mstar(1)}, n=2: {_star_mstar(2)}"
+
+
+def _star_beats_two_rows(n_max: int) -> Iterator[dict | str]:
+    # Global means of complete bipartite graphs: the star beats the
+    # two-per-part split from order 7 on.
+    for n in range(4, 7):
+        star_mean, two_mean = _bipartite_mean(1, n), _bipartite_mean(2, n)
+        yield (
+            f"n={n} below threshold: star "
+            f"{'beats' if star_mean > two_mean else 'loses to'} "
+            f"two-per-part split ({star_mean} vs {two_mean})"
+        )
+    yield from _misses(
+        lambda n: _bipartite_mean(1, n) > _bipartite_mean(2, n),
+        ((n,) for n in range(7, n_max + 1)),
+    )
+
+
+def _two_rest_rows(n_max: int) -> Iterator[dict | str]:
+    # M* of K_{2,n-3} (order n-1) never exceeds the complete graph's mean at
+    # order n, once n >= 6.
+    yield from _below_threshold(
+        lambda n: _bipartite_mstar(2, n - 1)
+        <= closed_form_means(MeanFamily.COMPLETE, n),
+        6,
+    )
+    for n in range(6, n_max + 1):
+        lhs = _bipartite_mstar(2, n - 1)
+        rhs = closed_form_means(MeanFamily.COMPLETE, n)
+        if not lhs <= rhs:
+            yield {"n": n}
+        elif lhs == rhs:
+            yield f"n={n}: equality ({lhs})"
+
+
+def _k1_plus_star_beats(
+    rival: MeanFamily, threshold: int
+) -> Callable[[int], Iterator[dict | str]]:
+    """Rows of "K1 u K_{1,n-2} has a larger mean than ``rival`` from
+    ``threshold`` on", with the orders below logged."""
+
+    def holds(n: int) -> bool:
+        return closed_form_means(rival, n) < closed_form_means(
+            MeanFamily.K1_UNION_STAR, n
+        )
+
+    def rows(n_max: int) -> Iterator[dict | str]:
+        yield from _below_threshold(holds, threshold)
+        yield from _misses(holds, ((n,) for n in range(threshold, n_max + 1)))
+
+    return rows
+
+
+INEQUALITIES = (
+    Sweep(
+        "bipartite-mstar-balance-decreasing",
+        "n=4..{n_max}, s=1..floor(n/2)-1 (star-top clause n=2..{n_max})",
+        _mstar_balance_rows,
+    ),
+    Sweep("star-mstar-increasing-and-bounded", "n=1..{n_max}", _star_mstar_rows),
+    Sweep(
+        "bipartite-mean-star-beats-two",
+        "n=7..{n_max} (boundary 4..6 logged)",
+        _star_beats_two_rows,
+    ),
+    # ... and for n >= 6 the mean keeps decreasing as the parts balance.
+    Sweep(
+        "bipartite-mean-balance-decreasing",
+        "n=6..{n_max}, s=2..floor(n/2)-1",
+        lambda n_max: _misses(
+            lambda n, s: _bipartite_mean(s, n) > _bipartite_mean(s + 1, n),
+            ((n, s) for n in range(6, n_max + 1) for s in range(2, n // 2)),
+        ),
+    ),
+    # The skillet's mean stays below the complete graph's.
+    Sweep(
+        "skillet-mean-below-complete",
+        "n=3..{n_max}",
+        lambda n_max: _misses(
+            lambda n: closed_form_means(MeanFamily.SKILLET, n)
+            < closed_form_means(MeanFamily.COMPLETE, n),
+            ((n,) for n in range(3, n_max + 1)),
+        ),
+    ),
+    # Complete bipartite M* means sit above half the order.
+    Sweep(
+        "bipartite-mstar-above-half-order",
+        "n=2..{n_max}, s=1..n-1",
+        lambda n_max: _misses(
+            lambda n, s: _bipartite_mstar(s, n) > Fraction(n, 2),
+            ((n, s) for n in range(2, n_max + 1) for s in range(1, n)),
+        ),
+    ),
+    Sweep(
+        "mstar-two-rest-at-most-complete",
+        "n=6..{n_max} (boundary 4..5 logged)",
+        _two_rest_rows,
+    ),
+    # An isolated vertex plus a spanning star dominates three rivals.
+    *(
+        Sweep(
+            theorem,
+            f"n={threshold}..{{n_max}} (boundary 4..{threshold - 1} logged)",
+            _k1_plus_star_beats(rival, threshold),
+        )
+        for theorem, rival, threshold in (
+            ("k1-plus-star-beats-star-mstar", MeanFamily.STAR_MSTAR, 8),
+            ("k1-plus-star-beats-k2-rest-mean", MeanFamily.K_2_N3, 9),
+            ("k1-plus-star-beats-small-star-mean", MeanFamily.STAR_N3, 4),
+        )
+    ),
+)
 
 
 def verify_inequality_sweeps(n_max: int = 64) -> list[TheoremVerdict]:
@@ -557,166 +692,7 @@ def verify_inequality_sweeps(n_max: int = 64) -> list[TheoremVerdict]:
     """
     if n_max < 9:
         raise RangeError(f"inequality sweeps need n_max >= 9, got {n_max}")
-    verdicts = []
-
-    # M* of complete bipartite graphs decreases as the parts balance,
-    # so the star tops every order.
-    failures, log = [], []
-    for n in range(4, n_max + 1):
-        for s in range(1, n // 2):
-            if not _bipartite_mstar(s, n) > _bipartite_mstar(s + 1, n):
-                failures.append({"n": n, "s": s})
-    for n in range(2, n_max + 1):
-        top = _bipartite_mstar(1, n)
-        for s in range(2, n):
-            if not top >= _bipartite_mstar(s, n):
-                failures.append({"n": n, "s": s, "clause": "star-top"})
-    verdicts.append(
-        _sweep_verdict(
-            "bipartite-mstar-balance-decreasing",
-            f"n=4..{n_max}, s=1..floor(n/2)-1 (star-top clause n=2..{n_max})",
-            failures,
-            log,
-        )
-    )
-
-    # The star's M* mean increases with order and sits in ((n+1)/2, (n+2)/2].
-    failures, log = [], []
-    for n in range(1, n_max):
-        if not _star_mstar(n + 1) > _star_mstar(n):
-            failures.append({"n": n, "clause": "increasing"})
-    for n in range(2, n_max + 1):
-        value = _star_mstar(n)
-        if not (Fraction(n + 1, 2) < value <= Fraction(n + 2, 2)):
-            failures.append({"n": n, "clause": "bounds"})
-        if value != _bipartite_mstar(1, n):
-            failures.append({"n": n, "clause": "psi-consistency"})
-    log.append(f"values: n=1: {_star_mstar(1)}, n=2: {_star_mstar(2)}")
-    verdicts.append(
-        _sweep_verdict(
-            "star-mstar-increasing-and-bounded", f"n=1..{n_max}", failures, log
-        )
-    )
-
-    # Global means of complete bipartite graphs: the star beats the
-    # two-per-part split from order 7 on.
-    failures, log = [], []
-    for n in range(4, 7):
-        holds = _bipartite_mean(1, n) > _bipartite_mean(2, n)
-        log.append(
-            f"n={n} below threshold: star {'beats' if holds else 'loses to'} "
-            f"two-per-part split ({_bipartite_mean(1, n)} vs {_bipartite_mean(2, n)})"
-        )
-    for n in range(7, n_max + 1):
-        if not _bipartite_mean(1, n) > _bipartite_mean(2, n):
-            failures.append({"n": n})
-    verdicts.append(
-        _sweep_verdict(
-            "bipartite-mean-star-beats-two", f"n=7..{n_max} (boundary 4..6 logged)",
-            failures, log,
-        )
-    )
-
-    # ... and for n >= 6 the mean keeps decreasing as the parts balance.
-    failures, log = [], []
-    for n in range(6, n_max + 1):
-        for s in range(2, n // 2):
-            if not _bipartite_mean(s, n) > _bipartite_mean(s + 1, n):
-                failures.append({"n": n, "s": s})
-    verdicts.append(
-        _sweep_verdict(
-            "bipartite-mean-balance-decreasing",
-            f"n=6..{n_max}, s=2..floor(n/2)-1",
-            failures,
-            log,
-        )
-    )
-
-    # The skillet's mean stays below the complete graph's.
-    failures, log = [], []
-    for n in range(3, n_max + 1):
-        if not closed_form_means(MeanFamily.SKILLET, n) < closed_form_means(
-            MeanFamily.COMPLETE, n
-        ):
-            failures.append({"n": n})
-    verdicts.append(
-        _sweep_verdict("skillet-mean-below-complete", f"n=3..{n_max}", failures, log)
-    )
-
-    # Complete bipartite M* means sit above half the order.
-    failures, log = [], []
-    for n in range(2, n_max + 1):
-        for s in range(1, n):
-            if not _bipartite_mstar(s, n) > Fraction(n, 2):
-                failures.append({"n": n, "s": s})
-    verdicts.append(
-        _sweep_verdict(
-            "bipartite-mstar-above-half-order", f"n=2..{n_max}, s=1..n-1", failures, log
-        )
-    )
-
-    # M* of K_{2,n-3} (order n-1) never exceeds the complete graph's mean at
-    # order n, once n >= 6.
-    failures, log = [], []
-    for n in range(4, 6):
-        holds = _bipartite_mstar(2, n - 1) <= closed_form_means(MeanFamily.COMPLETE, n)
-        log.append(f"n={n} below threshold: {'holds' if holds else 'fails'}")
-    for n in range(6, n_max + 1):
-        lhs = _bipartite_mstar(2, n - 1)
-        rhs = closed_form_means(MeanFamily.COMPLETE, n)
-        if not lhs <= rhs:
-            failures.append({"n": n})
-        elif lhs == rhs:
-            log.append(f"n={n}: equality ({lhs})")
-    verdicts.append(
-        _sweep_verdict(
-            "mstar-two-rest-at-most-complete",
-            f"n=6..{n_max} (boundary 4..5 logged)",
-            failures,
-            log,
-        )
-    )
-
-    # An isolated vertex plus a spanning star dominates three rivals.
-    clauses = [
-        (
-            "k1-plus-star-beats-star-mstar",
-            8,
-            lambda n: closed_form_means(MeanFamily.STAR_MSTAR, n)
-            < closed_form_means(MeanFamily.K1_UNION_STAR, n),
-        ),
-        (
-            "k1-plus-star-beats-k2-rest-mean",
-            9,
-            lambda n: closed_form_means(MeanFamily.K_2_N3, n)
-            < closed_form_means(MeanFamily.K1_UNION_STAR, n),
-        ),
-        (
-            "k1-plus-star-beats-small-star-mean",
-            4,
-            lambda n: closed_form_means(MeanFamily.STAR_N3, n)
-            < closed_form_means(MeanFamily.K1_UNION_STAR, n),
-        ),
-    ]
-    for theorem, threshold, holds in clauses:
-        failures, log = [], []
-        for n in range(4, threshold):
-            log.append(
-                f"n={n} below threshold: {'holds' if holds(n) else 'fails'}"
-            )
-        for n in range(threshold, n_max + 1):
-            if not holds(n):
-                failures.append({"n": n})
-        verdicts.append(
-            _sweep_verdict(
-                theorem,
-                f"n={threshold}..{n_max} (boundary 4..{threshold - 1} logged)",
-                failures,
-                log,
-            )
-        )
-
-    return verdicts
+    return [run_sweep(sweep, n_max) for sweep in INEQUALITIES]
 
 
 # ---------------------------------------------------------------------------
@@ -724,95 +700,59 @@ def verify_inequality_sweeps(n_max: int = 64) -> list[TheoremVerdict]:
 # ---------------------------------------------------------------------------
 
 
-def _largest_component_order(t: Cotree) -> int:
-    if t.kind == UNION:
-        return max(c.leaf_count for c in t.children)
-    return t.leaf_count
-
-
-def verify_structural_theorems(n_max: int = 8) -> list[TheoremVerdict]:
-    """Exhaustive per-vertex and per-graph checks over all cographs <= n_max."""
-    if not 2 <= n_max <= 9:
-        raise RangeError(f"structural checks support n_max in 2..9, got {n_max}")
-
-    all_by_order: dict[int, list[Cotree]] = {
-        n: list(enumerate_cotrees(n, "all")) for n in range(1, n_max + 1)
-    }
-    connected_by_order: dict[int, list[Cotree]] = {
-        n: [t for t in all_by_order[n] if t.kind == JOIN or t.leaf_count == 1]
-        for n in range(1, n_max + 1)
-    }
-    verdicts = []
-
+def _star_max_mstar_rows(n_max: int) -> Iterator[dict | str]:
     # The star has the strictly largest M* mean among all cographs per order.
-    failures, log = [], []
     for n in range(1, n_max + 1):
         bound = mstar_mean(phi_cotree(star(n)))
         ties = []
-        for t in all_by_order[n]:
+        for t in enumerate_cotrees(n, "all"):
             value = mstar_mean(phi_cotree(t))
             if value > bound:
-                failures.append({"n": n, "form": format_cotree(t), "mstar": str(value)})
+                yield {"n": n, "form": format_cotree(t), "mstar": str(value)}
             elif value == bound:
                 ties.append(format_cotree(t))
         if ties != [format_cotree(star(n))]:
-            failures.append({"n": n, "equality_set": ties})
-    verdicts.append(
-        _sweep_verdict(
-            "star-unique-max-mstar-all-cographs", f"n=1..{n_max}", failures, log
-        )
-    )
+            yield {"n": n, "equality_set": ties}
 
+
+def _local_floor_rows(n_max: int) -> Iterator[dict | str]:
     # Every vertex of a connected cograph has local mean at least (n+1)/2,
     # with equality achieved (universal vertices sit exactly on the floor).
-    failures, log = [], []
     equality_hits = 0
     for n in range(1, n_max + 1):
         floor = Fraction(n + 1, 2)
-        for t in connected_by_order[n]:
+        for t in enumerate_cotrees(n, "connected"):
             for leaf in range(n):
                 value = global_mean(phi_local_cotree(t, leaf))
                 if value < floor:
-                    failures.append(
-                        {"n": n, "form": format_cotree(t), "vertex": leaf,
-                         "local_mean": str(value)}
-                    )
+                    yield {"n": n, "form": format_cotree(t), "vertex": leaf,
+                           "local_mean": str(value)}
                 elif value == floor and n >= 2:
                     equality_hits += 1
     if equality_hits == 0:
-        failures.append({"clause": "no equality witness observed"})
-    log.append(f"equality witnesses (n>=2): {equality_hits}")
-    verdicts.append(
-        _sweep_verdict(
-            "local-mean-at-least-half-order-plus", f"n=1..{n_max}", failures, log
-        )
-    )
+        yield {"clause": "no equality witness observed"}
+    yield f"equality witnesses (n>=2): {equality_hits}"
 
+
+def _local_dominates_rows(n_max: int) -> Iterator[dict | str]:
     # Local means dominate the global mean on connected cographs; only the
     # single vertex achieves equality.
-    failures, log = [], []
     for n in range(1, n_max + 1):
-        for t in connected_by_order[n]:
+        for t in enumerate_cotrees(n, "connected"):
             g_mean = global_mean(phi_cotree(t))
             for leaf in range(n):
                 value = global_mean(phi_local_cotree(t, leaf))
                 if value < g_mean or (value == g_mean and n >= 2):
-                    failures.append(
-                        {"n": n, "form": format_cotree(t), "vertex": leaf,
-                         "local_mean": str(value), "global_mean": str(g_mean)}
-                    )
-    verdicts.append(
-        _sweep_verdict(
-            "local-mean-dominates-global", f"n=1..{n_max}", failures, log
-        )
-    )
+                    yield {"n": n, "form": format_cotree(t), "vertex": leaf,
+                           "local_mean": str(value), "global_mean": str(g_mean)}
 
+
+def _biconnected_surplus_rows(n_max: int) -> Iterator[dict | str]:
     # Every 2-connected cograph has a vertex contained in more connected
     # subgraphs than its removal leaves behind.
-    failures, log = [], []
     checked = 0
     for n in range(4, n_max + 1):
-        for t in connected_by_order[n]:
+        for t in enumerate_cotrees(n, "connected"):
             g = cotree_to_graph(t)
             full = g.full_mask
             if any(
@@ -821,67 +761,64 @@ def verify_structural_theorems(n_max: int = 8) -> list[TheoremVerdict]:
             ):
                 continue
             checked += 1
-            found = False
-            for v in range(n):
-                containing = phi_local_cotree(t, v).value_at_one()
-                without = phi_bruteforce(
-                    induced_subgraph(g, full & ~(1 << v))
-                ).value_at_one()
-                if without < containing:
-                    found = True
-                    break
-            if not found:
-                failures.append({"n": n, "form": format_cotree(t)})
-    log.append(f"2-connected cographs checked: {checked}")
-    verdicts.append(
-        _sweep_verdict(
-            "biconnected-has-vertex-with-subgraph-surplus",
-            f"n=4..{n_max}",
-            failures,
-            log,
-        )
-    )
+            if not any(
+                phi_local_cotree(t, v).value_at_one()
+                > phi_bruteforce(induced_subgraph(g, full & ~(1 << v))).value_at_one()
+                for v in range(n)
+            ):
+                yield {"n": n, "form": format_cotree(t)}
+    yield f"2-connected cographs checked: {checked}"
 
+
+def _connected_mean_growth_rows(n_max: int) -> Iterator[dict | str]:
     # Means of connected cographs strictly exceed those of all smaller
     # cographs, connected or not.
-    failures, log = [], []
-    min_connected = {
-        n: min(global_mean(phi_cotree(t)) for t in connected_by_order[n])
-        for n in range(1, n_max + 1)
-    }
-    max_any = {
-        n: max(global_mean(phi_cotree(t)) for t in all_by_order[n])
-        for n in range(1, n_max + 1)
-    }
+    def means(n: int, connectivity: str) -> Iterator[Fraction]:
+        return (global_mean(phi_cotree(t)) for t in enumerate_cotrees(n, connectivity))
+
+    min_connected = {n: min(means(n, "connected")) for n in range(1, n_max + 1)}
+    max_any = {n: max(means(n, "all")) for n in range(1, n_max + 1)}
     for n in range(2, n_max + 1):
         for m in range(1, n):
             if not min_connected[n] > max_any[m]:
-                failures.append({"n": n, "m": m})
-    verdicts.append(
-        _sweep_verdict(
-            "connected-mean-grows-with-order", f"2<=m<n<={n_max}", failures, log
-        )
-    )
+                yield {"n": n, "m": m}
 
+
+def _component_cap_rows(n_max: int) -> Iterator[dict | str]:
     # A cograph whose components all have order at most s has mean at most
     # (s+1)/2, with equality exactly when s = 1.
-    failures, log = [], []
     for n in range(1, n_max + 1):
-        for t in all_by_order[n]:
-            s = _largest_component_order(t)
+        for t in enumerate_cotrees(n, "all"):
+            s = max(c.leaf_count for c in t.children) if t.kind == UNION else n
             bound = Fraction(s + 1, 2)
             value = global_mean(phi_cotree(t))
             if value > bound or (value == bound) != (s == 1):
-                failures.append(
-                    {"n": n, "form": format_cotree(t), "mean": str(value), "s": s}
-                )
-    verdicts.append(
-        _sweep_verdict(
-            "component-order-caps-mean", f"n=1..{n_max}", failures, log
-        )
-    )
+                yield {"n": n, "form": format_cotree(t), "mean": str(value), "s": s}
 
-    return verdicts
+
+STRUCTURAL = (
+    Sweep("star-unique-max-mstar-all-cographs", "n=1..{n_max}", _star_max_mstar_rows),
+    Sweep("local-mean-at-least-half-order-plus", "n=1..{n_max}", _local_floor_rows),
+    Sweep("local-mean-dominates-global", "n=1..{n_max}", _local_dominates_rows),
+    Sweep(
+        "biconnected-has-vertex-with-subgraph-surplus",
+        "n=4..{n_max}",
+        _biconnected_surplus_rows,
+    ),
+    Sweep(
+        "connected-mean-grows-with-order",
+        "2<=m<n<={n_max}",
+        _connected_mean_growth_rows,
+    ),
+    Sweep("component-order-caps-mean", "n=1..{n_max}", _component_cap_rows),
+)
+
+
+def verify_structural_theorems(n_max: int = 8) -> list[TheoremVerdict]:
+    """Exhaustive per-vertex and per-graph checks over all cographs <= n_max."""
+    if not 2 <= n_max <= 9:
+        raise RangeError(f"structural checks support n_max in 2..9, got {n_max}")
+    return [run_sweep(sweep, n_max) for sweep in STRUCTURAL]
 
 
 # ---------------------------------------------------------------------------

@@ -200,7 +200,7 @@ def test_usage_error_exit_code():
 
 
 # The stdout of these runs, byte for byte, as captured before the verdict
-# loops were folded into one claim runner.
+# loops were folded into one claim runner and one sweep runner.
 VERIFY_STDOUT_SHA256 = {
     "table1": "618395a1e1ee739a27ee869426d238050548b0ba6d114a3d87682335045515c9",
     "star-max --nmax 8": "7f7e93ea01338db61af7d2128f0dd1d1c9b6a4caa3835690f4b22904a5506de3",
@@ -211,6 +211,8 @@ VERIFY_STDOUT_SHA256 = {
     "table2 --nmax 6 --golden": "d1e4ff2c1065ce7808c169cf526abb85c1b30f2ce96f6e24ac00aa0d308a0dba",
     "table1 --golden": "435eaef8c0407c47f95021fc33073863d8d846b841b7e14ef22b0ea1b52abe9c",
     "inequalities --nmax 16": "7301d1df1689ef59e86b252118bee09ebd3c1731dea89f0c4bc5790657d5fe74",
+    "local-mean": "2e30a1b01a301279f1fd2364dbb2325792c519f6b7f608a715072da803b7438f",
+    "inequalities": "a4292244fad07dbb11dba0a5ded66f755eae0dc789aad8924d89244ccc66dd2b",
 }
 
 

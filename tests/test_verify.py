@@ -14,9 +14,11 @@ from cographmean import (
     extremal_search,
     format_cotree,
     global_mean,
-    merge_extremal_reports,
+    parse_cotree,
     phi_bruteforce,
+    phi_cotree,
     skillet,
+    star,
     verify_disconnected_max,
     verify_inequality_sweeps,
     verify_path_min_conjecture,
@@ -27,6 +29,7 @@ from cographmean import (
 from cographmean import verify as verify_module
 from cographmean.cli import main
 from cographmean.errors import OrderOutOfRange, RangeError
+from cographmean.poly import MeanFamily, SubgraphPolynomial
 from cographmean.verify import (
     grid_graph,
     max_mean_connected_cograph,
@@ -56,30 +59,22 @@ def test_extremal_search_min_order5():
     assert report.winner_mean == Fraction(61, 24)
 
 
-def test_extremal_search_reports_all_ties():
-    # at order 2 the two cographs have distinct means, so check a family
-    # with a genuine tie: connected graphs of order 1 is trivially unique;
-    # instead confirm tie handling via a sharded merge below
-    report = extremal_search(
-        GeneratorSpec(Family.COGRAPHS, 2), Objective.GLOBAL_MEAN_MAX
+def test_extremal_search_reports_all_ties(monkeypatch):
+    # No family at orders 2-7 has tied winners, so feed the search a worse
+    # order-5 cograph (mean 14/9), then two of equal mean 13/5.
+    forms = ["U(J(L,L,L),L,L)", "J(L,U(L,L,L,L))", "J(L,L,L,U(L,L))"]
+    monkeypatch.setattr(
+        verify_module, "generate", lambda spec: (parse_cotree(f) for f in forms)
     )
-    assert report.winner_form == "J(L,L)"
-    assert report.runner_up_gap == Fraction(4, 3) - 1
-
-
-def test_merge_shard_reports_equals_full_search():
-    spec_full = GeneratorSpec(Family.CONNECTED_COGRAPHS, 6)
-    full = extremal_search(spec_full, Objective.GLOBAL_MEAN_MAX)
-    parts = [
-        extremal_search(
-            GeneratorSpec(Family.CONNECTED_COGRAPHS, 6, (i, 3)),
-            Objective.GLOBAL_MEAN_MAX,
-        )
-        for i in range(3)
-    ]
-    merged = merge_extremal_reports(merge_extremal_reports(parts[0], parts[1]), parts[2])
-    assert merged.winners == full.winners
-    assert merged.runner_up_gap == full.runner_up_gap
+    report = extremal_search(
+        GeneratorSpec(Family.COGRAPHS, 5), Objective.GLOBAL_MEAN_MAX
+    )
+    assert report.winners == (
+        ("J(L,L,L,U(L,L))", Fraction(13, 5)),
+        ("J(L,U(L,L,L,L))", Fraction(13, 5)),
+    )
+    assert not report.is_unique
+    assert report.runner_up_gap == Fraction(13, 5) - Fraction(14, 9)
 
 
 def test_verify_table1_passes():
@@ -135,6 +130,60 @@ def test_inequality_sweeps_pass_and_log_boundaries():
     two_rest = by_name["mstar-two-rest-at-most-complete"]
     assert any("n=6: equality" in line for line in two_rest.log)
     assert any("below threshold" in line for line in two_rest.log)
+
+
+def test_inequality_sweep_failure_keeps_rows_and_log(monkeypatch, capsys):
+    passing = {v.theorem: v for v in verify_inequality_sweeps(20)}
+    real_means = verify_module.closed_form_means
+
+    def means_with_k2_rest_raised(family, n, *rest):
+        mean = real_means(family, n, *rest)
+        return mean + n if family is MeanFamily.K_2_N3 and n in (12, 15) else mean
+
+    monkeypatch.setattr(verify_module, "closed_form_means", means_with_k2_rest_raised)
+    verdicts = {v.theorem: v for v in verify_inequality_sweeps(20)}
+    assert [name for name, v in verdicts.items() if not v.passed] == [
+        "k1-plus-star-beats-k2-rest-mean"
+    ]
+    failed = verdicts["k1-plus-star-beats-k2-rest-mean"]
+    assert failed.status == "FAIL"
+    assert failed.witness == {"failures": [{"n": 12}, {"n": 15}]}
+    assert failed.parameter_range == "n=9..20 (boundary 4..8 logged)"
+    assert len(failed.log) == 5
+    assert failed.log == passing["k1-plus-star-beats-k2-rest-mean"].log
+    assert main(["verify", "inequalities", "--nmax", "20"]) == 1
+    statuses = [v["status"] for v in json.loads(capsys.readouterr().out)["verdicts"]]
+    assert statuses.count("FAIL") == 1
+
+
+def test_structural_sweep_failure_keeps_rows_and_log(monkeypatch, capsys):
+    passing = {v.theorem: v for v in verify_structural_theorems(4)}
+    real_local = verify_module.phi_local_cotree
+    star4 = format_cotree(star(4))
+
+    def local_with_bare_leaf(t, leaf):
+        if format_cotree(t) == star4 and leaf == 1:
+            return SubgraphPolynomial(4, (1, 0, 0, 0))  # local mean 1
+        return real_local(t, leaf)
+
+    monkeypatch.setattr(verify_module, "phi_local_cotree", local_with_bare_leaf)
+    verdicts = {v.theorem: v for v in verify_structural_theorems(4)}
+    assert {name for name, v in verdicts.items() if not v.passed} == {
+        "local-mean-at-least-half-order-plus",
+        "local-mean-dominates-global",
+    }
+    row = {"n": 4, "form": star4, "vertex": 1, "local_mean": "1"}
+    floor = verdicts["local-mean-at-least-half-order-plus"]
+    assert floor.status == "FAIL"
+    assert floor.witness == {"failures": [row]}
+    assert floor.log == passing["local-mean-at-least-half-order-plus"].log
+    dominates = verdicts["local-mean-dominates-global"]
+    star_mean = str(global_mean(phi_cotree(star(4))))
+    assert dominates.status == "FAIL"
+    assert dominates.witness == {"failures": [{**row, "global_mean": star_mean}]}
+    assert main(["verify", "local-mean", "--nmax", "4"]) == 1
+    statuses = [v["status"] for v in json.loads(capsys.readouterr().out)["verdicts"]]
+    assert statuses.count("FAIL") == 2
 
 
 def test_structural_theorems_small_window():
