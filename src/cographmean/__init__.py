@@ -18,6 +18,7 @@ from .cotree import (
     edgeless,
     format_cotree,
     graph_to_cotree,
+    graph_to_cotree_with_leaves,
     is_cograph,
     is_connected_cograph,
     parse_cotree,

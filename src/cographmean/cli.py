@@ -20,9 +20,16 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from .cotree import Cotree, cotree_to_graph, format_cotree, graph_to_cotree, parse_cotree
+from .cotree import (
+    Cotree,
+    cotree_to_graph,
+    format_cotree,
+    graph_to_cotree,
+    graph_to_cotree_with_leaves,
+    parse_cotree,
+)
 from .enumeration import Family, GeneratorSpec, generate
-from .errors import CographMeanError, ConfigError
+from .errors import CographMeanError, ConfigError, NotACograph, VertexOutOfRange
 from .graph import Graph, emit_graph6, parse_graph6
 from .poly import (
     DEFAULT_BRUTE_FORCE_CAP,
@@ -148,6 +155,20 @@ def _phi_for_input(obj: Cotree | Graph, cfg: CliConfig, cotree_only: bool):
         return phi_bruteforce(obj, cfg.brute_force_cap)
 
 
+def _local_phi_for_input(obj: Cotree | Graph, v: int, cfg: CliConfig, cotree_only: bool):
+    if isinstance(obj, Cotree):
+        return phi_local_cotree(obj, v)
+    try:
+        tree, leaf = graph_to_cotree_with_leaves(obj)
+    except NotACograph:
+        if cotree_only:
+            raise
+        return phi_local_bruteforce(obj, v, cfg.brute_force_cap)
+    if not 0 <= v < obj.order:
+        raise VertexOutOfRange(f"vertex {v} outside 0..{obj.order - 1}")
+    return phi_local_cotree(tree, leaf[v])
+
+
 def _cmd_mean(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     obj = _parse_input(args.input)
@@ -158,12 +179,7 @@ def _cmd_mean(args: argparse.Namespace) -> int:
     if want_global:
         lines.append(("mean", _format_value(global_mean(p), args.decimal)))
     if args.local is not None:
-        if isinstance(obj, Cotree):
-            lp = phi_local_cotree(obj, args.local)
-        else:
-            if args.cotree_only:
-                graph_to_cotree(obj)  # raises NotACograph for non-cographs
-            lp = phi_local_bruteforce(obj, args.local, cfg.brute_force_cap)
+        lp = _local_phi_for_input(obj, args.local, cfg, args.cotree_only)
         lines.append(("local", _format_value(global_mean(lp), args.decimal)))
     if args.mstar:
         lines.append(("mstar", _format_value(mstar_mean(p), args.decimal)))

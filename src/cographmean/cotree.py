@@ -108,13 +108,20 @@ def _skip_ws(text: str, pos: int) -> int:
     return pos
 
 
-def _parse_node(text: str, pos: int) -> tuple[Cotree, int]:
+def _parse_node(text: str, pos: int, depth: int = 0) -> tuple[Cotree, int]:
     if pos >= len(text):
         raise CotreeSyntaxError("unexpected end of input", pos)
     ch = text[pos]
     if ch == "L":
         return LEAF_TREE, pos + 1
     if ch in "UJ":
+        if depth == MAX_ORDER:
+            # Each of these nested nodes has a second child, so the tree has
+            # more leaves than any graph; stop before the recursion limit.
+            raise OrderOutOfRange(
+                f"cotree nests more than {MAX_ORDER} nodes deep, so it has more "
+                f"than {MAX_ORDER} leaves (at position {pos})"
+            )
         kind = UNION if ch == "U" else JOIN
         pos = _skip_ws(text, pos + 1)
         if pos >= len(text) or text[pos] != "(":
@@ -122,7 +129,7 @@ def _parse_node(text: str, pos: int) -> tuple[Cotree, int]:
         pos = _skip_ws(text, pos + 1)
         children = []
         while True:
-            child, pos = _parse_node(text, pos)
+            child, pos = _parse_node(text, pos, depth + 1)
             children.append(child)
             pos = _skip_ws(text, pos)
             if pos >= len(text):
@@ -175,29 +182,54 @@ def cotree_to_graph(t: Cotree) -> Graph:
     return Graph(n, tuple(adj))
 
 
-def graph_to_cotree(g: Graph) -> Cotree:
-    """Recover the canonical cotree of a cograph.
+def graph_to_cotree_with_leaves(g: Graph) -> tuple[Cotree, tuple[int, ...]]:
+    """The canonical cotree of a cograph, and the leaf index of each vertex.
 
     Recursion: a single vertex is a leaf; a disconnected graph is the Union
     of its components; a graph with disconnected complement is the Join of
     the subgraphs induced by the complement's components.  Anything else
     contains an induced four-vertex path and raises NotACograph.
+
+    A component is connected and an anti-component has a connected
+    complement, so the kinds already alternate; sorting each node's children
+    by printed form is all that ``canonicalize`` would add, and the vertices
+    are sorted along with them.  Vertex ``v`` of ``g`` is leaf ``leaf[v]``
+    (counted left to right) of the returned tree.
     """
 
-    def build(sub: Graph) -> Cotree:
+    def build(sub: Graph, verts: tuple[int, ...]) -> tuple[Cotree, tuple[int, ...]]:
         if sub.order == 1:
-            return LEAF_TREE
-        comps = connected_components(sub)
-        if len(comps) > 1:
-            return Cotree(UNION, tuple(build(induced_subgraph(sub, m)) for m in comps))
-        anti = connected_components(complement(sub))
-        if len(anti) > 1:
-            return Cotree(JOIN, tuple(build(induced_subgraph(sub, m)) for m in anti))
-        raise NotACograph(
-            f"graph has a connected order-{sub.order} subgraph with connected complement"
+            return LEAF_TREE, verts
+        kind, parts = UNION, connected_components(sub)
+        if len(parts) == 1:
+            kind, parts = JOIN, connected_components(complement(sub))
+            if len(parts) == 1:
+                raise NotACograph(
+                    f"graph has a connected order-{sub.order} subgraph "
+                    "with connected complement"
+                )
+        children = sorted(
+            (
+                build(induced_subgraph(sub, m), tuple(verts[i] for i in iter_bits(m)))
+                for m in parts
+            ),
+            key=lambda child: child[0].form,
+        )
+        return (
+            Cotree(kind, tuple(t for t, _ in children)),
+            tuple(v for _, vs in children for v in vs),
         )
 
-    return canonicalize(build(g))
+    tree, order = build(g, tuple(range(g.order)))
+    leaf = [0] * g.order
+    for i, v in enumerate(order):
+        leaf[v] = i
+    return tree, tuple(leaf)
+
+
+def graph_to_cotree(g: Graph) -> Cotree:
+    """Recover the canonical cotree of a cograph (see :func:`graph_to_cotree_with_leaves`)."""
+    return graph_to_cotree_with_leaves(g)[0]
 
 
 def is_cograph(g: Graph) -> bool:

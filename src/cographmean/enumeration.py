@@ -7,9 +7,11 @@ once in a fixed order:
   connected or disconnected realizations), built by recursive composition
   over integer partitions rather than by filtering graphs;
 * non-isomorphic graphs of small order, built by extending each class of
-  order n-1 with every possible neighborhood of a new vertex and keeping
-  the canonical representative (lexicographically minimal upper-triangle
-  bitstring over all vertex permutations);
+  order n-1 with every possible neighborhood of a new vertex.  Extensions
+  are deduplicated on a cheap certificate, the minimal code over the
+  labellings that respect a colour-refined partition of the vertices, and
+  each class then gets its canonical representative once (lexicographically
+  minimal upper-triangle bitstring over all vertex permutations);
 * caterpillar trees, encoded by spine length plus per-spine leaf counts,
   deduplicated under reversal.
 """
@@ -33,6 +35,8 @@ from .graph import Graph, _component, from_edge_list
 # N``) was measured to finish within 60 s and 1 GB peak RSS on a 2-core host:
 # 15 leaves took 29 s and 649 MB; 16 leaves passed 1 GB before printing.
 MAX_COTREE_LEAVES = 15
+# Building every class of order 8 (12,346 of them) took 15-21 s on a 2-core
+# host; order 9 has 274,668 classes and was not measured.
 MAX_GRAPH_ENUM_ORDER = 8
 MAX_CATERPILLAR_ORDER = 20
 
@@ -148,73 +152,130 @@ def _code_to_adj(n: int, code: int) -> tuple[int, ...]:
     return tuple(adj)
 
 
-def _min_code(n: int, adj: tuple[int, ...]) -> int:
+def _cells(n: int, adj: tuple[int, ...]) -> tuple[int, ...]:
+    """Colour refinement to an equitable partition, as one cell mask per position.
+
+    A vertex's next colour is its cell together with its number of
+    neighbours in each cell.  New cells are ranked by that signature, which
+    starts with the old cell's rank, so the order of the cells never depends
+    on vertex labels.  Entry ``i`` of the result is the cell whose vertices
+    may take position ``i`` of a labelling.
+    """
+    cells = [(1 << n) - 1]
+    while len(cells) < n:
+        split: dict[tuple[int, ...], int] = {}
+        for rank, cell in enumerate(cells):
+            while cell:
+                bit = cell & -cell
+                cell ^= bit
+                a = adj[bit.bit_length() - 1]
+                sig = (rank, *[(a & c).bit_count() for c in cells])
+                split[sig] = split.get(sig, 0) | bit
+        if len(split) == len(cells):
+            break
+        cells = [split[sig] for sig in sorted(split)]
+    return tuple(c for c in cells for _ in range(c.bit_count()))
+
+
+def _min_code(n: int, adj: tuple[int, ...], cell_of: tuple[int, ...] | None = None) -> int:
     """Lexicographically minimal triangle code over all vertex permutations.
 
     Grows the permutation one position at a time, keeping every prefix that
-    still attains the minimal bit string.  Surviving prefixes that present
-    the same view to the unplaced vertices are interchangeable, so the
-    frontier is deduplicated on (placed set, per-vertex adjacency columns);
-    this keeps highly symmetric graphs cheap.
+    still attains the minimal bit string.  A prefix is kept as its placed
+    set and, for each vertex, its adjacency column against the prefix (first
+    placed vertex most significant; placed vertices read 0).  Prefixes that
+    agree on both are interchangeable, so the frontier is deduplicated on
+    them; this keeps highly symmetric graphs cheap.
+
+    With ``cell_of`` from :func:`_cells`, position ``i`` may only hold a
+    vertex of ``cell_of[i]``.  The labellings searched then do not depend on
+    vertex labels, so the result is a complete isomorphism certificate, but
+    not the printed form: that is the unrestricted minimum.
     """
     if n == 1:
         return 0
+    if cell_of is None:
+        cell_of = ((1 << n) - 1,) * n
+    # Twins (equal neighbourhoods apart from each other) can trade places
+    # without changing the code, so each set of twins is placed in label
+    # order: a vertex waits until its lower-labelled twins are placed.
+    waits_for = [0] * n
+    for v in range(n):
+        for u in range(v):
+            if adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
+                waits_for[v] |= 1 << u
+    frontier = {
+        (1 << v, tuple(0 if x == v else a >> v & 1 for x, a in enumerate(adj))): None
+        for v in range(n)
+        if cell_of[0] >> v & 1 and not waits_for[v]
+    }
     code = 0
-    frontier: list[tuple[tuple[int, ...], int]] = [((v,), 1 << v) for v in range(n)]
     for pos in range(1, n):
-        best_col = -1
-        chosen: list[tuple[tuple[int, ...], int]] = []
-        for perm, used in frontier:
-            for w in range(n):
-                if used >> w & 1:
+        best = -1
+        chosen: list[tuple[int, tuple[int, ...], int]] = []
+        cell = cell_of[pos]
+        for used, cols in frontier:
+            free = cell & ~used
+            while free:
+                bit = free & -free
+                free ^= bit
+                w = bit.bit_length() - 1
+                if waits_for[w] & ~used:
                     continue
-                aw = adj[w]
-                col = 0
-                for i, p in enumerate(perm):
-                    col |= (aw >> p & 1) << (pos - 1 - i)
-                if best_col < 0 or col < best_col:
-                    best_col = col
-                    chosen = [(perm + (w,), used | 1 << w)]
-                elif col == best_col:
-                    chosen.append((perm + (w,), used | 1 << w))
-        code = code << pos | best_col
+                col = cols[w]
+                if best < 0 or col < best:
+                    best = col
+                    chosen = [(used, cols, w)]
+                elif col == best:
+                    chosen.append((used, cols, w))
+        code = code << pos | best
         if pos == n - 1:
             break
-        dedup: dict[tuple, tuple[tuple[int, ...], int]] = {}
-        for perm, used in chosen:
-            views = []
-            for w in range(n):
-                if used >> w & 1:
-                    continue
-                aw = adj[w]
-                view = 0
-                for i, p in enumerate(perm):
-                    view |= (aw >> p & 1) << i
-                views.append(view)
-            dedup.setdefault((used, tuple(views)), (perm, used))
-        frontier = list(dedup.values())
+        frontier = {}
+        for used, cols, w in chosen:
+            used |= 1 << w
+            cols = tuple(
+                0 if used >> x & 1 else c << 1 | (adj[x] >> w & 1)
+                for x, c in enumerate(cols)
+            )
+            frontier[used, cols] = None
     return code
+
+
+# order -> the codes of _graph_classes(order), for every order built so far.
+# canonical_graph only reads it, so it never triggers a build.
+_BUILT_CLASSES: dict[int, frozenset[int]] = {}
 
 
 def canonical_graph(g: Graph) -> Graph:
     """The canonical representative of a graph's isomorphism class."""
+    if _adj_to_code(g.order, g.adj) in _BUILT_CLASSES.get(g.order, ()):
+        return g  # already a class representative, e.g. from the graph stream
     return Graph(g.order, _code_to_adj(g.order, _min_code(g.order, g.adj)))
 
 
 @lru_cache(maxsize=None)
 def _graph_classes(order: int) -> tuple[int, ...]:
-    """Sorted canonical codes of every isomorphism class of the given order."""
+    """Sorted canonical codes of every isomorphism class of the given order.
+
+    Every class of order n arises by adding a vertex to a class of order
+    n-1.  Extensions are deduplicated on the cheap cell-restricted code
+    (:func:`_cells`), and the full :func:`_min_code` runs once per class.
+    """
     if order == 1:
-        return (0,)
-    seen: set[int] = set()
-    for code in _graph_classes(order - 1):
-        base = _code_to_adj(order - 1, code)
-        for nbrs in range(1 << (order - 1)):
-            adj = tuple(
-                base[v] | ((nbrs >> v & 1) << (order - 1)) for v in range(order - 1)
-            ) + (nbrs,)
-            seen.add(_min_code(order, adj))
-    return tuple(sorted(seen))
+        codes: tuple[int, ...] = (0,)
+    else:
+        seen: dict[int, tuple[int, ...]] = {}
+        for code in _graph_classes(order - 1):
+            base = _code_to_adj(order - 1, code)
+            for nbrs in range(1 << (order - 1)):
+                adj = tuple(
+                    base[v] | ((nbrs >> v & 1) << (order - 1)) for v in range(order - 1)
+                ) + (nbrs,)
+                seen.setdefault(_min_code(order, adj, _cells(order, adj)), adj)
+        codes = tuple(sorted(_min_code(order, adj) for adj in seen.values()))
+    _BUILT_CLASSES[order] = frozenset(codes)
+    return codes
 
 
 def enumerate_connected_graphs(order: int) -> Iterator[Graph]:

@@ -100,10 +100,16 @@ def all_labeled_graphs(n: int):
         )
 
 
-def oracle_min_code(g: Graph) -> int:
-    """Minimal upper-triangle bitstring over all n! permutations, directly."""
+def oracle_min_code(g: Graph, cell_of: tuple[int, ...] | None = None) -> int:
+    """Minimal upper-triangle bitstring over all n! permutations, directly.
+
+    With ``cell_of``, only over the permutations that put a vertex of
+    ``cell_of[i]`` at every position ``i``.
+    """
     best = None
     for perm in permutations(range(g.order)):
+        if cell_of and any(not cell_of[i] >> v & 1 for i, v in enumerate(perm)):
+            continue
         code = 0
         for col in range(1, g.order):
             for row in range(col):
@@ -111,6 +117,27 @@ def oracle_min_code(g: Graph) -> int:
         if best is None or code < best:
             best = code
     return best
+
+
+def oracle_graph_classes(n: int) -> tuple[int, ...]:
+    """Sorted class codes by the plain scan: every one-vertex extension of
+    every class of order n-1, each reduced by the full ``_min_code``."""
+    from cographmean.enumeration import _code_to_adj, _min_code
+
+    if n == 1:
+        return (0,)
+    seen = set()
+    for code in oracle_graph_classes(n - 1):
+        base = _code_to_adj(n - 1, code)
+        for nbrs in range(1 << (n - 1)):
+            adj = tuple(base[v] | (nbrs >> v & 1) << (n - 1) for v in range(n - 1))
+            seen.add(_min_code(n, adj + (nbrs,)))
+    return tuple(sorted(seen))
+
+
+def relabel(g: Graph, perm) -> Graph:
+    """Vertex v of ``g`` becomes vertex ``perm[v]``."""
+    return from_edge_list(g.order, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
 def random_cotree(rng: random.Random, n: int, kind: str | None = None) -> Cotree:

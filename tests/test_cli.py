@@ -1,13 +1,17 @@
 """Command-line interface: outputs, exit codes, config plumbing."""
 
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cographmean
 
@@ -18,6 +22,7 @@ from cographmean import (
     closed_form_means,
     cotree_to_graph,
     emit_graph6,
+    format_cotree,
     from_edge_list,
     star,
 )
@@ -200,7 +205,9 @@ def test_usage_error_exit_code():
 
 
 # The stdout of these runs, byte for byte, as captured before the verdict
-# loops were folded into one claim runner and one sweep runner.
+# loops were folded into one claim runner and one sweep runner, and (table2
+# and path-conjecture at their default order 7) before graph classes were
+# deduplicated by a cell-restricted code.
 VERIFY_STDOUT_SHA256 = {
     "table1": "618395a1e1ee739a27ee869426d238050548b0ba6d114a3d87682335045515c9",
     "star-max --nmax 8": "7f7e93ea01338db61af7d2128f0dd1d1c9b6a4caa3835690f4b22904a5506de3",
@@ -213,6 +220,8 @@ VERIFY_STDOUT_SHA256 = {
     "inequalities --nmax 16": "7301d1df1689ef59e86b252118bee09ebd3c1731dea89f0c4bc5790657d5fe74",
     "local-mean": "2e30a1b01a301279f1fd2364dbb2325792c519f6b7f608a715072da803b7438f",
     "inequalities": "a4292244fad07dbb11dba0a5ded66f755eae0dc789aad8924d89244ccc66dd2b",
+    "table2": "04be505c75f50a3db6db3c8551765dffde461a558f241971cc310b2c89e10eea",
+    "path-conjecture": "c413cf5cf858ccc9db47456a567ec23d900b69628957dabaf891daafd6fc2cf5",
 }
 
 
@@ -222,6 +231,16 @@ def test_verify_stdout_is_pinned(capsys, arguments):
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == VERIFY_STDOUT_SHA256[arguments]
+
+
+def test_enumerate_connected_graphs_7_is_pinned(capsys):
+    code, out, _ = run(capsys, "enumerate", "connected-graphs", "7")
+    assert code == 0
+    assert out.count("\n") == 853
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "f39a11e21a91db326d834f8e3bf6d5ae85c0f04d6077d08cfbaeecbc572b0a93"
+    )
 
 
 def test_verify_table1_honours_nmax(capsys):
@@ -368,3 +387,40 @@ def test_local_mean_with_poly_prints_both_polynomials(capsys):
     lines = dict(line.split("\t", 1) for line in rest)
     assert json.loads(lines["poly"]) == {"n": 4, "coeffs": ["4", "3", "2", "1"]}
     assert json.loads(lines["local_poly"]) == {"n": 4, "coeffs": ["1", "1", "1", "1"]}
+
+
+def test_local_mean_of_a_graph6_cograph_past_the_brute_force_cap(capsys):
+    # The 30-vertex star: vertex 0 is the centre.  As a cograph its local
+    # means come from the cotree, so the brute-force cap of 24 does not apply.
+    text = emit_graph6(from_edge_list(30, [(0, i) for i in range(1, 30)]))
+    tree = format_cotree(star(30))  # leaf 0 is the centre
+    for vertex, leaf in ((0, 0), (3, 1), (29, 29)):
+        code, out, err = run(capsys, "mean", text, "--local", str(vertex))
+        assert code == 0, err
+        assert (0, out) == run(capsys, "mean", tree, "--local", str(leaf))[:2]
+    assert_usage_error(*run(capsys, "mean", text, "--local", "30"))
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.one_of(
+        st.text(max_size=20),
+        st.text(alphabet="JUL(), ~?@ABCDEw_`", max_size=20),
+        st.text(alphabet=st.characters(min_codepoint=63, max_codepoint=126), max_size=20),
+    )
+)
+def test_mean_of_any_string_exits_cleanly(text):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(["mean", text])
+        except SystemExit as exc:  # argparse rejects strings that look like flags
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert sum("error:" in line for line in err.getvalue().splitlines()) <= 1
+    assert "Traceback" not in err.getvalue()
+    assert (code == 0) == (out.getvalue() != "")
+
+
+def test_deeply_nested_cotree_is_a_usage_error(capsys):
+    assert_usage_error(*run(capsys, "mean", "J(" * 2000))

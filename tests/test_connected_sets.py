@@ -10,12 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_connected_subsets, oracle_phi_coeffs
+from conftest import oracle_connected_subsets, oracle_phi_coeffs, relabel
 from test_cotree_properties import cotrees
 
 from cographmean import (
     cotree_to_graph,
     from_edge_list,
+    graph_to_cotree_with_leaves,
     path_graph,
     phi_bruteforce,
     phi_cotree,
@@ -63,6 +64,18 @@ def test_local_counts_match_the_cotree_recursion_at_every_leaf(t):
         assert phi_local_bruteforce(g, leaf) == phi_local_cotree(t, leaf)
 
 
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_local_polynomials_of_a_relabelled_cograph_come_from_its_cotree(data):
+    t = data.draw(cotrees(leaves=st.integers(1, 12)))
+    g = relabel(cotree_to_graph(t), data.draw(st.permutations(range(t.leaf_count))))
+    tree, leaf = graph_to_cotree_with_leaves(g)
+    assert tree == t
+    assert relabel(g, leaf) == cotree_to_graph(tree)  # vertex v is leaf[v]
+    for v in range(g.order):
+        assert phi_local_cotree(tree, leaf[v]) == phi_local_bruteforce(g, v)
+
+
 def _cycle(n):
     return from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
 
@@ -84,3 +97,4 @@ def test_cycle_closed_form(n):
     assert phi_bruteforce(g).coeffs == tuple([n] * (n - 1) + [1])
     for v in (0, n - 1):
         assert phi_local_bruteforce(g, v).coeffs == tuple(range(1, n)) + (1,)
+

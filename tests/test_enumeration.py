@@ -1,8 +1,24 @@
 """Generators: counts against independent oracles, determinism, sharding."""
 
-import pytest
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from conftest import all_labeled_graphs, has_induced_p4, oracle_min_code
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import (
+    all_labeled_graphs,
+    has_induced_p4,
+    oracle_graph_classes,
+    oracle_min_code,
+    relabel,
+)
+from test_connected_sets import graphs
+
+import cographmean
 
 from cographmean import (
     Family,
@@ -20,6 +36,7 @@ from cographmean.cotree import JOIN, LEAF, UNION, canonicalize, cotree_to_graph
 from cographmean.enumeration import (
     MAX_COTREE_LEAVES,
     _adj_to_code,
+    _cells,
     _code_to_adj,
     _cotree_pool,
     _graph_classes,
@@ -115,6 +132,78 @@ def test_connected_graph_counts(n):
     assert sum(1 for _ in enumerate_connected_graphs(n)) == GRAPH_COUNTS[n]
 
 
+# OEIS A000088: graphs on n unlabelled vertices
+GRAPH_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_graph_class_counts(n):
+    assert len(_graph_classes(n)) == GRAPH_CLASS_COUNTS[n]
+
+
+@pytest.mark.slow
+def test_graph_class_count_order_8():
+    assert len(_graph_classes(8)) == 12346
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_graph_classes_equal_the_full_code_scan(n):
+    assert _graph_classes(n) == oracle_graph_classes(n)
+
+
+def test_cells_are_an_equitable_partition(rng):
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        g = cographmean.from_edge_list(
+            n, [(u, v) for v in range(n) for u in range(v) if rng.random() < 0.4]
+        )
+        cell_of = _cells(n, g.adj)
+        cells = list(dict.fromkeys(cell_of))
+        assert len(cell_of) == n and sum(c.bit_count() for c in cells) == n
+        assert all(cell_of.count(c) == c.bit_count() for c in cells)
+        for c in cells:
+            for d in cells:
+                assert len({(g.adj[v] & d).bit_count() for v in range(n) if c >> v & 1}) == 1
+
+
+def test_cell_restricted_code_matches_the_permutation_oracle(rng):
+    for _ in range(80):
+        n = rng.randint(1, 7)
+        g = cographmean.from_edge_list(
+            n, [(u, v) for v in range(n) for u in range(v) if rng.random() < 0.5]
+        )
+        cell_of = _cells(n, g.adj)
+        assert _min_code(n, g.adj, cell_of) == oracle_min_code(g, cell_of)
+
+
+def _certificate(g: Graph) -> int:
+    return _min_code(g.order, g.adj, _cells(g.order, g.adj))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_cell_restricted_code_is_a_relabelling_invariant(data):
+    g = data.draw(graphs(st.integers(1, 9)))
+    perm = data.draw(st.permutations(range(g.order)))
+    assert _certificate(relabel(g, perm)) == _certificate(g)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_cell_restricted_code_separates_exactly_the_classes(data):
+    g = data.draw(graphs(st.integers(2, 9)))
+    h = relabel(g, data.draw(st.permutations(range(g.order))))
+    if data.draw(st.booleans()):
+        pair = st.lists(st.integers(0, g.order - 1), min_size=2, max_size=2, unique=True)
+        u, v = data.draw(pair)
+        adj = list(h.adj)
+        adj[u] ^= 1 << v
+        adj[v] ^= 1 << u
+        h = Graph(h.order, tuple(adj))
+    same_class = _min_code(g.order, g.adj) == _min_code(h.order, h.adj)
+    assert (_certificate(g) == _certificate(h)) == same_class
+
+
 def test_graph_classes_against_permutation_oracle():
     # independently canonicalize all labeled graphs on four vertices
     seen = set()
@@ -149,6 +238,37 @@ def test_canonical_graph_is_idempotent_and_invariant(rng):
         rng.shuffle(perm)
         relabeled = from_edge_list(n, [(perm[u], perm[v]) for u, v in g.edges()])
         assert canonical_graph(relabeled) == c
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_canonical_graph_returns_every_class_representative_unchanged(n):
+    for code in _graph_classes(n):
+        g = Graph(n, _code_to_adj(n, code))
+        assert canonical_graph(g) is g
+
+
+def test_relabelled_representatives_reach_the_representative(rng):
+    for n in range(2, 8):
+        for code in rng.sample(_graph_classes(n), min(25, len(_graph_classes(n)))):
+            g = Graph(n, _code_to_adj(n, code))
+            perm = list(range(n))
+            rng.shuffle(perm)
+            assert canonical_graph(relabel(g, perm)) == g
+
+
+def test_canonical_graph_never_builds_a_class_table():
+    script = (
+        "from cographmean import from_edge_list\n"
+        "from cographmean.enumeration import _graph_classes, canonical_graph\n"
+        "g = from_edge_list(8, [(v, v + 1) for v in range(7)])\n"
+        "print(canonical_graph(g).edge_count(), _graph_classes.cache_info().currsize)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cographmean.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["7", "0"]
 
 
 def test_code_round_trip():

@@ -1,10 +1,13 @@
 """graph6 codec: frozen decodes, strict error handling, round trips."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import all_labeled_graphs
+from conftest import all_labeled_graphs, relabel
+from test_connected_sets import graphs
 
-from cographmean import emit_graph6, from_edge_list, parse_graph6
+from cographmean import canonical_graph, emit_graph6, from_edge_list, parse_graph6
 from cographmean.enumeration import _code_to_adj, _graph_classes
 from cographmean.errors import (
     MalformedHeader,
@@ -84,3 +87,18 @@ def test_round_trip_all_classes(n):
     for code in _graph_classes(n):
         g = Graph(n, _code_to_adj(n, code))
         assert parse_graph6(emit_graph6(g)) == g
+
+
+# The canonical form of a sparse 14-vertex graph can take seconds: the
+# search branches over every order of a tied independent prefix.
+@settings(deadline=None, max_examples=50)
+@given(st.data())
+def test_round_trip_and_canonical_form_of_random_graphs(data):
+    g = data.draw(graphs(st.integers(1, 14)))
+    h = relabel(g, data.draw(st.permutations(range(g.order))))
+    assert parse_graph6(emit_graph6(g)) == g
+    c = canonical_graph(g)
+    assert canonical_graph(h) == c
+    assert canonical_graph(c) == c
+    assert parse_graph6(emit_graph6(c)) == c
+    assert c.degree_sequence() == g.degree_sequence()
