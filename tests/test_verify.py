@@ -29,7 +29,7 @@ from cographmean import (
 from cographmean import verify as verify_module
 from cographmean.cli import main
 from cographmean.errors import OrderOutOfRange, RangeError
-from cographmean.poly import MeanFamily, SubgraphPolynomial
+from cographmean.poly import MeanFamily, SubgraphPolynomial, closed_form_means
 from cographmean.verify import (
     grid_graph,
     max_mean_connected_cograph,
@@ -93,6 +93,19 @@ def test_verify_skillet_min_small_window():
     assert verdict.passed
 
 
+def test_star_max_and_skillet_min_reach_order_14():
+    star_verdict, skillet_verdict = verify_star_max(14), verify_skillet_min(14)
+    assert star_verdict.passed and skillet_verdict.passed
+    assert star_verdict.parameter_range == "n=7..14"
+    assert star_verdict.log[-2:] == (
+        "n=13: star mean 7171/1027, gap 731/602849",
+        "n=14: star mean 61453/8205, gap 45043/67330230",
+    )
+    assert skillet_verdict.log[-1] == "n=14: skillet mean " + str(
+        closed_form_means(MeanFamily.SKILLET, 14)
+    )
+
+
 def test_verify_disconnected_max_small_window():
     verdict = verify_disconnected_max(8)
     assert verdict.passed
@@ -118,7 +131,7 @@ def test_nmax_validation():
     with pytest.raises(RangeError):
         verify_star_max(5)
     with pytest.raises(OrderOutOfRange):
-        verify_disconnected_max(13)
+        verify_disconnected_max(25)
 
 
 def test_inequality_sweeps_pass_and_log_boundaries():
@@ -231,6 +244,18 @@ def test_verdict_json_shape():
     assert data["status"] == "PASS"
 
 
+def patch_searches(monkeypatch, edit):
+    """Pass every report through ``edit(spec, report)``.  Claims on cotree
+    families search by knapsack_search, the others by extremal_search."""
+    for name in ("extremal_search", "knapsack_search"):
+        real = getattr(verify_module, name)
+        monkeypatch.setattr(
+            verify_module,
+            name,
+            lambda spec, objective, real=real: edit(spec, real(spec, objective)),
+        )
+
+
 @pytest.mark.parametrize(
     "suite, check, n_max",
     [
@@ -244,18 +269,16 @@ def test_verdict_json_shape():
 )
 def test_tied_winner_fails_at_its_order(monkeypatch, capsys, suite, check, n_max):
     """A tie at the top order fails the claim there, keeping earlier logs."""
-    real_search = verify_module.extremal_search
     tied_reports = []
 
-    def search_with_tie(spec, objective):
-        report = real_search(spec, objective)
+    def add_tie(spec, report):
         if spec.order != n_max:
             return report
         tied = replace(report, winners=report.winners + (("tie", report.winner_mean),))
         tied_reports.append(tied)
         return tied
 
-    monkeypatch.setattr(verify_module, "extremal_search", search_with_tie)
+    patch_searches(monkeypatch, add_tie)
     passing = check(n_max - 1)
     verdict = check(n_max)
     assert passing.passed
@@ -271,14 +294,12 @@ def test_tied_winner_fails_at_its_order(monkeypatch, capsys, suite, check, n_max
 
 def test_disconnected_max_checks_closed_form_mean_from_order_8(monkeypatch):
     """Below order 8 the claim pins no mean; from 8 on, K1 u K_{1,n-2}'s."""
-    real_search = verify_module.extremal_search
 
-    def search_with_wrong_mean(spec, objective):
-        report = real_search(spec, objective)
+    def add_one_to_mean(spec, report):
         ((form, mean),) = report.winners
         return replace(report, winners=((form, mean + 1),))
 
-    monkeypatch.setattr(verify_module, "extremal_search", search_with_wrong_mean)
+    patch_searches(monkeypatch, add_one_to_mean)
     monkeypatch.setattr(verify_module, "_recheck_by_bruteforce", lambda report: True)
     assert verify_disconnected_max(7).passed
     verdict = verify_disconnected_max(8)
