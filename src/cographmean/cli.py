@@ -17,8 +17,6 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
-from pathlib import Path
 
 from .cotree import (
     Cotree,
@@ -43,11 +41,6 @@ from .poly import (
     phi_local_cotree,
 )
 from .verify import (
-    TABLE1,
-    TABLE2,
-    ExtremalClaim,
-    TheoremVerdict,
-    table_rows,
     verify_disconnected_max,
     verify_inequality_sweeps,
     verify_local_counterexample,
@@ -69,7 +62,6 @@ class CliConfig:
 
     brute_force_cap: int = DEFAULT_BRUTE_FORCE_CAP
     output_format: str = "json"
-    golden_dir: str | None = None
 
 
 def _env(name: str) -> str | None:
@@ -93,7 +85,6 @@ def _resolve_config(args: argparse.Namespace) -> CliConfig:
                 f"{_ENV_PREFIX}FORMAT: expected one of {', '.join(_FORMATS)}, got {fmt!r}"
             )
         cfg.output_format = fmt
-    cfg.golden_dir = getattr(args, "golden_dir", None) or _env("GOLDEN_DIR")
     return cfg
 
 
@@ -147,12 +138,13 @@ def _format_value(value: Fraction, decimal: bool) -> str:
 def _phi_for_input(obj: Cotree | Graph, cfg: CliConfig, cotree_only: bool):
     if isinstance(obj, Cotree):
         return phi_cotree(obj)
-    if cotree_only:
-        return phi_cotree(graph_to_cotree(obj))
     try:
-        return phi_cotree(graph_to_cotree(obj))
-    except CographMeanError:
+        tree = graph_to_cotree(obj)
+    except NotACograph:
+        if cotree_only:
+            raise
         return phi_bruteforce(obj, cfg.brute_force_cap)
+    return phi_cotree(tree)
 
 
 def _local_phi_for_input(obj: Cotree | Graph, v: int, cfg: CliConfig, cotree_only: bool):
@@ -232,48 +224,21 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-# suite -> (default --nmax, runner, claim whose table --golden diffs or None).
-# The key order is the order of ``verify all``.
+# suite -> (default --nmax, runner).  The key order is the order of
+# ``verify all``.
 _SUITES = {
-    "table1": (6, lambda n: [verify_table1(n)], TABLE1),
-    "table2": (7, lambda n: [verify_table2(n)], TABLE2),
-    "skillet-min": (12, lambda n: [verify_skillet_min(n)], None),
-    "star-max": (12, lambda n: [verify_star_max(n)], None),
-    "disconnected-max": (10, lambda n: [verify_disconnected_max(n)], None),
+    "table1": (6, lambda n: [verify_table1(n)]),
+    "table2": (7, lambda n: [verify_table2(n)]),
+    "skillet-min": (12, lambda n: [verify_skillet_min(n)]),
+    "star-max": (12, lambda n: [verify_star_max(n)]),
+    "disconnected-max": (10, lambda n: [verify_disconnected_max(n)]),
     "local-mean": (
         8,
         lambda n: verify_structural_theorems(n) + [verify_local_counterexample()],
-        None,
     ),
-    "inequalities": (64, verify_inequality_sweeps, None),
-    "path-conjecture": (7, lambda n: [verify_path_min_conjecture(n)], None),
+    "inequalities": (64, verify_inequality_sweeps),
+    "path-conjecture": (7, lambda n: [verify_path_min_conjecture(n)]),
 }
-
-
-def _golden_verdict(
-    suite: str, claim: ExtremalClaim, nmax: int, golden_dir: str | None
-) -> TheoremVerdict:
-    """Diff a computed table against its checked-in golden rows."""
-    computed = table_rows(claim, nmax)
-    root = Path(golden_dir) if golden_dir else resources.files("cographmean") / "golden"
-    path = root / f"{suite}.json"
-    try:
-        golden = json.loads(path.read_text(encoding="utf-8"))
-        golden_rows = {row["order"]: row for row in golden["rows"]}
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        reason = getattr(exc, "strerror", None) or repr(exc)
-        raise ConfigError(f"cannot read golden file {path}: {reason}") from None
-    mismatches = []
-    for row in computed:
-        want = golden_rows.get(row["order"])
-        if want != row:
-            mismatches.append({"computed": row, "golden": want})
-    return TheoremVerdict(
-        theorem=f"golden-diff-{suite}",
-        parameter_range=f"orders {computed[0]['order']}..{computed[-1]['order']}",
-        status="PASS" if not mismatches else "FAIL",
-        witness={"mismatches": mismatches} if mismatches else None,
-    )
 
 
 def _emit_tsv(suites: list[dict]) -> str:
@@ -300,11 +265,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     suites = []
     all_pass = True
     for name in names:
-        default_nmax, runner, golden_claim = _SUITES[name]
+        default_nmax, runner = _SUITES[name]
         nmax = default_nmax if args.nmax is None else args.nmax
         verdicts = runner(nmax)
-        if args.golden and golden_claim is not None:
-            verdicts.append(_golden_verdict(name, golden_claim, nmax, cfg.golden_dir))
         suites.append(
             {
                 "suite": name,
@@ -367,10 +330,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("suite", choices=list(_SUITES) + ["all"])
     p_verify.add_argument("--nmax", type=int, help="override the suite's order cap")
     p_verify.add_argument("--format", choices=_FORMATS)
-    p_verify.add_argument(
-        "--golden", action="store_true", help="also diff tables against golden files"
-    )
-    p_verify.add_argument("--golden-dir", help="directory holding golden files")
     p_verify.set_defaults(func=_cmd_verify)
 
     return parser

@@ -33,6 +33,7 @@ from .cotree import (
 )
 from .enumeration import (
     MAX_CATERPILLAR_ORDER,
+    MAX_GRAPH_ENUM_ORDER,
     _COTREE_FILTER,
     Family,
     GeneratorSpec,
@@ -45,6 +46,7 @@ from .errors import InvalidShard, NoWitnessFound, OrderOutOfRange, RangeError
 from .graph import Graph, emit_graph6, from_edge_list, induced_subgraph, is_connected
 from .knapsack import extremal_cotrees
 from .poly import (
+    DEFAULT_BRUTE_FORCE_CAP,
     MeanFamily,
     closed_form_means,
     closed_form_psi,
@@ -307,22 +309,16 @@ class ExtremalClaim:
     log_line: Callable[[int, ExtremalReport], str] = _form_and_mean
 
 
-def _claim_reports(
-    claim: ExtremalClaim, n_max: int
-) -> Iterator[tuple[int, ExtremalReport]]:
+def run_claim(claim: ExtremalClaim, n_max: int) -> TheoremVerdict:
+    """Check ``claim`` at orders lo..n_max; FAIL at the first order it misses."""
     if not claim.lo <= n_max <= claim.hi:
         raise OrderOutOfRange(
             f"{claim.range_label} supports {claim.lo}..{claim.hi}, got {n_max}"
         )
     search = knapsack_search if claim.family in _COTREE_FILTER else extremal_search
-    for n in range(claim.lo, n_max + 1):
-        yield n, search(GeneratorSpec(claim.family, n), claim.objective)
-
-
-def run_claim(claim: ExtremalClaim, n_max: int) -> TheoremVerdict:
-    """Check ``claim`` at orders lo..n_max; FAIL at the first order it misses."""
     log, witness = [], None
-    for n, report in _claim_reports(claim, n_max):
+    for n in range(claim.lo, n_max + 1):
+        report = search(GeneratorSpec(claim.family, n), claim.objective)
         expected_mean = claim.expected_mean(n)
         if not (
             report.is_unique
@@ -340,14 +336,6 @@ def run_claim(claim: ExtremalClaim, n_max: int) -> TheoremVerdict:
         witness=witness,
         log=tuple(log),
     )
-
-
-def table_rows(claim: ExtremalClaim, n_max: int) -> list[dict]:
-    """The computed winners of ``claim`` at orders lo..n_max, as golden rows."""
-    return [
-        {"order": n, "winners": [f for f, _ in r.winners], "mean": str(r.winner_mean)}
-        for n, r in _claim_reports(claim, n_max)
-    ]
 
 
 _TABLE1_MEANS = {
@@ -402,7 +390,7 @@ STAR_MAX = ExtremalClaim(
     theorem="star-unique-max-connected-cographs",
     family=Family.CONNECTED_COGRAPHS,
     objective=Objective.GLOBAL_MEAN_MAX,
-    lo=7, hi=24, range_label="star maximality sweep",
+    lo=7, hi=DEFAULT_BRUTE_FORCE_CAP, range_label="star maximality sweep",
     expected_form=lambda n: format_cotree(star(n)),
     expected_mean=lambda n: closed_form_means(MeanFamily.STAR, n),
     log_line=lambda n, r: f"n={n}: star mean {r.winner_mean}, gap {r.runner_up_gap}",
@@ -412,7 +400,7 @@ SKILLET_MIN = ExtremalClaim(
     theorem="skillet-unique-min-connected-cographs",
     family=Family.CONNECTED_COGRAPHS,
     objective=Objective.GLOBAL_MEAN_MIN,
-    lo=3, hi=24, range_label="skillet minimality sweep",
+    lo=3, hi=DEFAULT_BRUTE_FORCE_CAP, range_label="skillet minimality sweep",
     expected_form=lambda n: format_cotree(skillet(n)),
     expected_mean=lambda n: closed_form_means(MeanFamily.SKILLET, n),
     log_line=lambda n, r: f"n={n}: skillet mean {r.winner_mean}",
@@ -424,7 +412,7 @@ DISCONNECTED_MAX = ExtremalClaim(
     theorem="disconnected-max-is-k1-plus-best-connected",
     family=Family.DISCONNECTED_COGRAPHS,
     objective=Objective.GLOBAL_MEAN_MAX,
-    lo=2, hi=24, range_label="disconnected maximality sweep",
+    lo=2, hi=DEFAULT_BRUTE_FORCE_CAP, range_label="disconnected maximality sweep",
     expected_form=lambda n: format_cotree(
         canonicalize(Cotree(UNION, (LEAF_TREE, max_mean_connected_cograph(n - 1))))
     ),
@@ -446,7 +434,7 @@ PATH_MIN = ExtremalClaim(
     theorem="path-unique-min-connected-graphs",
     family=Family.CONNECTED_GRAPHS,
     objective=Objective.GLOBAL_MEAN_MIN,
-    lo=3, hi=8, range_label="path-minimum sweep",
+    lo=3, hi=MAX_GRAPH_ENUM_ORDER, range_label="path-minimum sweep",
     expected_form=lambda n: emit_graph6(canonical_graph(path_graph(n))),
     log_line=lambda n, r: f"n={n}: path mean {r.winner_mean}",
 )

@@ -185,13 +185,6 @@ def test_verify_tsv_format(capsys):
     assert out.splitlines()[0].split("\t")[0].strip() == "suite"
 
 
-def test_verify_golden_table1(capsys):
-    code, out, _ = run(capsys, "verify", "table1", "--golden")
-    assert code == 0
-    payload = json.loads(out)
-    assert any(v["theorem"] == "golden-diff-table1" for v in payload["verdicts"])
-
-
 def test_unknown_suite_exit_code(capsys):
     with pytest.raises(SystemExit) as err:
         main(["verify", "nonsense"])
@@ -215,8 +208,6 @@ VERIFY_STDOUT_SHA256 = {
     "disconnected-max --nmax 9": "9919cfdfa1f2ac9aec4781dffaf6d4fc3386e77907de37dea36ea32e1f9d8557",
     "table2 --nmax 5": "072b683cfcbff90f83972c54010d4eb758322e7a464f30eb2299b8d473ed009e",
     "path-conjecture --nmax 6": "b340c46124609738dbea24b52cea2b3f7bde7b8c8e45e15b51a2bd8ef9c164eb",
-    "table2 --nmax 6 --golden": "d1e4ff2c1065ce7808c169cf526abb85c1b30f2ce96f6e24ac00aa0d308a0dba",
-    "table1 --golden": "435eaef8c0407c47f95021fc33073863d8d846b841b7e14ef22b0ea1b52abe9c",
     "inequalities --nmax 16": "7301d1df1689ef59e86b252118bee09ebd3c1731dea89f0c4bc5790657d5fe74",
     "local-mean": "2e30a1b01a301279f1fd2364dbb2325792c519f6b7f608a715072da803b7438f",
     "inequalities": "a4292244fad07dbb11dba0a5ded66f755eae0dc789aad8924d89244ccc66dd2b",
@@ -306,12 +297,6 @@ def test_closed_stdout_exits_141_without_traceback(tmp_path):
         proc.stdout.close()
     assert proc.wait(timeout=60) == 141
     assert err_path.read_bytes() == b""
-
-
-def test_missing_golden_file_is_usage_error(capsys, tmp_path):
-    assert_usage_error(
-        *run(capsys, "verify", "table1", "--golden", "--golden-dir", str(tmp_path))
-    )
 
 
 @pytest.mark.parametrize(

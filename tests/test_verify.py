@@ -15,6 +15,7 @@ from cographmean import (
     format_cotree,
     global_mean,
     parse_cotree,
+    parse_graph6,
     phi_bruteforce,
     phi_cotree,
     skillet,
@@ -31,6 +32,11 @@ from cographmean.cli import main
 from cographmean.errors import OrderOutOfRange, RangeError
 from cographmean.poly import MeanFamily, SubgraphPolynomial, closed_form_means
 from cographmean.verify import (
+    DISCONNECTED_MAX,
+    SKILLET_MIN,
+    STAR_MAX,
+    TABLE1,
+    TABLE2,
     grid_graph,
     max_mean_connected_cograph,
     path_graph,
@@ -121,6 +127,28 @@ def test_verify_table2_small_window():
 def test_verify_path_min_small_window():
     verdict = verify_path_min_conjecture(5)
     assert verdict.passed
+
+
+# PATH_MIN pins no mean, so it has nothing to check here.
+@pytest.mark.parametrize(
+    "claim",
+    [TABLE1, STAR_MAX, SKILLET_MIN, DISCONNECTED_MAX, TABLE2],
+    ids=lambda claim: claim.theorem,
+)
+def test_claim_expected_forms_have_expected_means(claim):
+    """Each claim's expected winner has its expected mean at every order the
+    claim pins one, so the two columns of the claim cannot drift apart."""
+    graph_family = claim.family is Family.CONNECTED_GRAPHS
+    for n in range(claim.lo, claim.hi + 1):
+        expected = claim.expected_mean(n)
+        if expected is None:
+            continue
+        form = claim.expected_form(n)
+        if graph_family:
+            phi = phi_bruteforce(parse_graph6(form))
+        else:
+            phi = phi_cotree(parse_cotree(form))
+        assert global_mean(phi) == expected, (n, form)
 
 
 def test_nmax_validation():
