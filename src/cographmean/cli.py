@@ -71,12 +71,16 @@ def _env(name: str) -> str | None:
 def _resolve_config(args: argparse.Namespace) -> CliConfig:
     cfg = CliConfig()
     cap = getattr(args, "brute_force_cap", None)
+    source = "--brute-force-cap"
     if cap is None and _env("BRUTE_FORCE_CAP"):
+        source = f"{_ENV_PREFIX}BRUTE_FORCE_CAP"
         try:
             cap = int(_env("BRUTE_FORCE_CAP"))
         except ValueError as exc:
-            raise ConfigError(f"{_ENV_PREFIX}BRUTE_FORCE_CAP: {exc}") from None
+            raise ConfigError(f"{source}: {exc}") from None
     if cap is not None:
+        if cap < 1:
+            raise ConfigError(f"{source}: expected an order of at least 1, got {cap}")
         cfg.brute_force_cap = cap
     fmt = getattr(args, "format", None) or _env("FORMAT")
     if fmt:

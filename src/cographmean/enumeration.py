@@ -7,11 +7,14 @@ once in a fixed order:
   connected or disconnected realizations), built by recursive composition
   over integer partitions rather than by filtering graphs;
 * non-isomorphic graphs of small order, built by extending each class of
-  order n-1 with every possible neighborhood of a new vertex.  Extensions
-  are deduplicated on a cheap certificate, the minimal code over the
-  labellings that respect a colour-refined partition of the vertices, and
-  each class then gets its canonical representative once (lexicographically
-  minimal upper-triangle bitstring over all vertex permutations);
+  order n-1 with a new vertex.  An extension is kept only when the new
+  vertex lies in the last cell of a colour-refined partition of the
+  vertices, a cell chosen without reference to labels, so each class is
+  still reached by deleting one of those vertices.  Kept extensions are
+  deduplicated on a cheap certificate, the minimal code over the
+  labellings that respect that partition, and each class then gets its
+  canonical representative once (lexicographically minimal upper-triangle
+  bitstring over all vertex permutations);
 * caterpillar trees, encoded by spine length plus per-spine leaf counts,
   deduplicated under reversal.
 """
@@ -35,7 +38,7 @@ from .graph import Graph, _component, from_edge_list
 # N``) was measured to finish within 60 s and 1 GB peak RSS on a 2-core host:
 # 15 leaves took 29 s and 649 MB; 16 leaves passed 1 GB before printing.
 MAX_COTREE_LEAVES = 15
-# Building every class of order 8 (12,346 of them) took 15-21 s on a 2-core
+# Building every class of order 8 (12,346 of them) took 8-10 s on a 2-core
 # host; order 9 has 274,668 classes and was not measured.
 MAX_GRAPH_ENUM_ORDER = 8
 MAX_CATERPILLAR_ORDER = 20
@@ -259,20 +262,39 @@ def _graph_classes(order: int) -> tuple[int, ...]:
     """Sorted canonical codes of every isomorphism class of the given order.
 
     Every class of order n arises by adding a vertex to a class of order
-    n-1.  Extensions are deduplicated on the cheap cell-restricted code
-    (:func:`_cells`), and the full :func:`_min_code` runs once per class.
+    n-1.  An extension is kept only when the new vertex lies in the last
+    cell of :func:`_cells` (McKay 1998, "Isomorph-free exhaustive
+    generation", J. Algorithms 26).  That cell does not depend on labels,
+    so every class still arises: deleting any vertex of its last cell
+    leaves some class of order n-1, and adding that vertex back to the
+    class's representative is one of the extensions tried.  The last cell
+    holds only vertices of maximum degree, so most extensions are dropped
+    on degrees before any refinement.  The kept extensions are
+    deduplicated on the cheap cell-restricted code, and the full
+    :func:`_min_code` runs once per class.
     """
     if order == 1:
         codes: tuple[int, ...] = (0,)
     else:
+        new = order - 1  # the added vertex
         seen: dict[int, tuple[int, ...]] = {}
-        for code in _graph_classes(order - 1):
-            base = _code_to_adj(order - 1, code)
-            for nbrs in range(1 << (order - 1)):
+        for code in _graph_classes(new):
+            base = _code_to_adj(new, code)
+            top = max(a.bit_count() for a in base)
+            at_top = sum(1 << v for v, a in enumerate(base) if a.bit_count() == top)
+            for nbrs in range(1 << new):
+                # Only vertices of maximum degree reach the last cell.  With
+                # fewer than ``top`` neighbours, or with ``top`` and one of
+                # them of degree ``top``, the new vertex is not among them.
+                size = nbrs.bit_count()
+                if size < top or size == top and nbrs & at_top:
+                    continue
                 adj = tuple(
-                    base[v] | ((nbrs >> v & 1) << (order - 1)) for v in range(order - 1)
+                    base[v] | (nbrs >> v & 1) << new for v in range(new)
                 ) + (nbrs,)
-                seen.setdefault(_min_code(order, adj, _cells(order, adj)), adj)
+                cell_of = _cells(order, adj)
+                if cell_of[-1] >> new & 1:
+                    seen.setdefault(_min_code(order, adj, cell_of), adj)
         codes = tuple(sorted(_min_code(order, adj) for adj in seen.values()))
     _BUILT_CLASSES[order] = frozenset(codes)
     return codes

@@ -262,6 +262,25 @@ def test_non_integer_cap_env_is_usage_error(capsys, monkeypatch):
     assert_usage_error(*run(capsys, "mean", "J(L,L)"))
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+@pytest.mark.parametrize("text", ["J(L,L)", "Ch"])  # a cograph and P4
+def test_cap_flag_below_one_is_usage_error(capsys, cap, text):
+    code, out, err = run(capsys, "mean", text, "--brute-force-cap", cap)
+    assert_usage_error(code, out, err)
+    assert "--brute-force-cap" in err and cap in err
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+@pytest.mark.parametrize(
+    "argv", [("mean", "J(L,L)"), ("mean", "Ch"), ("reliability", "Ch", "--p", "1/2")]
+)
+def test_cap_env_below_one_is_usage_error(capsys, monkeypatch, cap, argv):
+    monkeypatch.setenv("COGRAPHMEAN_BRUTE_FORCE_CAP", cap)
+    code, out, err = run(capsys, *argv)
+    assert_usage_error(code, out, err)
+    assert "COGRAPHMEAN_BRUTE_FORCE_CAP" in err and cap in err
+
+
 def test_invalid_shard_is_usage_error(capsys):
     assert_usage_error(
         *run(capsys, "enumerate", "connected-cographs", "5", "--shard", "3/2")

@@ -1,5 +1,6 @@
 """Generators: counts against independent oracles, determinism, sharding."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -146,7 +147,19 @@ def test_graph_class_count_order_8():
     assert len(_graph_classes(8)) == 12346
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+# sha256 of repr(_graph_classes(8)), measured on the build that kept every
+# extension.  A wrong representative of some class changes it; the count
+# alone would not.
+GRAPH_CLASSES_8_SHA256 = "c111dd87b36a72456faffe8e55b63e390c86a4e12b4d82eaa802b100e9950823"
+
+
+@pytest.mark.slow
+def test_graph_classes_order_8_are_pinned():
+    digest = hashlib.sha256(repr(_graph_classes(8)).encode()).hexdigest()
+    assert digest == GRAPH_CLASSES_8_SHA256
+
+
+@pytest.mark.parametrize("n", range(1, 8))
 def test_graph_classes_equal_the_full_code_scan(n):
     assert _graph_classes(n) == oracle_graph_classes(n)
 
@@ -164,6 +177,22 @@ def test_cells_are_an_equitable_partition(rng):
         for c in cells:
             for d in cells:
                 assert len({(g.adj[v] & d).bit_count() for v in range(n) if c >> v & 1}) == 1
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_last_cell_is_label_free_and_of_maximum_degree(data):
+    # _graph_classes keeps an extension only when the new vertex is in the
+    # last cell, and drops it early when that vertex cannot have maximum
+    # degree; both steps rely on this.
+    g = data.draw(graphs(st.integers(1, 9)))
+    perm = data.draw(st.permutations(range(g.order)))
+    last = _cells(g.order, g.adj)[-1]
+    image = sum(1 << perm[v] for v in range(g.order) if last >> v & 1)
+    h = relabel(g, perm)
+    assert _cells(h.order, h.adj)[-1] == image
+    top = max(g.degree(v) for v in range(g.order))
+    assert all(g.degree(v) == top for v in range(g.order) if last >> v & 1)
 
 
 def test_cell_restricted_code_matches_the_permutation_oracle(rng):
