@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cotree import (
@@ -30,7 +29,6 @@ from .enumeration import Family, GeneratorSpec, generate
 from .errors import CographMeanError, ConfigError, NotACograph, VertexOutOfRange
 from .graph import Graph, emit_graph6, parse_graph6
 from .poly import (
-    DEFAULT_BRUTE_FORCE_CAP,
     global_mean,
     density,
     mstar_mean,
@@ -56,40 +54,30 @@ _ENV_PREFIX = "COGRAPHMEAN_"
 _FORMATS = ("json", "tsv")
 
 
-@dataclass
-class CliConfig:
-    """Resolved configuration: flags take precedence, then environment."""
-
-    brute_force_cap: int = DEFAULT_BRUTE_FORCE_CAP
-    output_format: str = "json"
-
-
-def _env(name: str) -> str | None:
-    return os.environ.get(_ENV_PREFIX + name)
-
-
-def _resolve_config(args: argparse.Namespace) -> CliConfig:
-    cfg = CliConfig()
-    cap = getattr(args, "brute_force_cap", None)
-    source = "--brute-force-cap"
-    if cap is None and _env("BRUTE_FORCE_CAP"):
+def _brute_force_cap(args: argparse.Namespace) -> int | None:
+    """The connected-set counter's order cap for ``mean`` and ``reliability``:
+    the flag, then the environment, then (None) the counter's default."""
+    cap, source = args.brute_force_cap, "--brute-force-cap"
+    env = os.environ.get(_ENV_PREFIX + "BRUTE_FORCE_CAP")
+    if cap is None and env:
         source = f"{_ENV_PREFIX}BRUTE_FORCE_CAP"
         try:
-            cap = int(_env("BRUTE_FORCE_CAP"))
+            cap = int(env)
         except ValueError as exc:
             raise ConfigError(f"{source}: {exc}") from None
-    if cap is not None:
-        if cap < 1:
-            raise ConfigError(f"{source}: expected an order of at least 1, got {cap}")
-        cfg.brute_force_cap = cap
-    fmt = getattr(args, "format", None) or _env("FORMAT")
-    if fmt:
-        if fmt not in _FORMATS:
-            raise ConfigError(
-                f"{_ENV_PREFIX}FORMAT: expected one of {', '.join(_FORMATS)}, got {fmt!r}"
-            )
-        cfg.output_format = fmt
-    return cfg
+    if cap is not None and cap < 1:
+        raise ConfigError(f"{source}: expected an order of at least 1, got {cap}")
+    return cap
+
+
+def _output_format(args: argparse.Namespace) -> str:
+    """The output format of ``verify``: the flag, then the environment."""
+    fmt = args.format or os.environ.get(_ENV_PREFIX + "FORMAT") or "json"
+    if fmt not in _FORMATS:
+        raise ConfigError(
+            f"{_ENV_PREFIX}FORMAT: expected one of {', '.join(_FORMATS)}, got {fmt!r}"
+        )
+    return fmt
 
 
 def _parse_input(text: str) -> Cotree | Graph:
@@ -106,14 +94,6 @@ def _fraction_arg(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
-
-
-def _shard_arg(text: str) -> tuple[int, int]:
-    try:
-        index, count = text.split("/")
-        return int(index), int(count)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"shard must look like I/K: {text!r}") from exc
 
 
 def _decimal12(value: Fraction) -> str:
@@ -139,7 +119,7 @@ def _format_value(value: Fraction, decimal: bool) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _phi_for_input(obj: Cotree | Graph, cfg: CliConfig, cotree_only: bool):
+def _phi_for_input(obj: Cotree | Graph, cap: int | None, cotree_only: bool):
     if isinstance(obj, Cotree):
         return phi_cotree(obj)
     try:
@@ -147,11 +127,11 @@ def _phi_for_input(obj: Cotree | Graph, cfg: CliConfig, cotree_only: bool):
     except NotACograph:
         if cotree_only:
             raise
-        return phi_bruteforce(obj, cfg.brute_force_cap)
+        return phi_bruteforce(obj, cap)
     return phi_cotree(tree)
 
 
-def _local_phi_for_input(obj: Cotree | Graph, v: int, cfg: CliConfig, cotree_only: bool):
+def _local_phi_for_input(obj: Cotree | Graph, v: int, cap: int | None, cotree_only: bool):
     if isinstance(obj, Cotree):
         return phi_local_cotree(obj, v)
     try:
@@ -159,23 +139,23 @@ def _local_phi_for_input(obj: Cotree | Graph, v: int, cfg: CliConfig, cotree_onl
     except NotACograph:
         if cotree_only:
             raise
-        return phi_local_bruteforce(obj, v, cfg.brute_force_cap)
+        return phi_local_bruteforce(obj, v, cap)
     if not 0 <= v < obj.order:
         raise VertexOutOfRange(f"vertex {v} outside 0..{obj.order - 1}")
     return phi_local_cotree(tree, leaf[v])
 
 
 def _cmd_mean(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+    cap = _brute_force_cap(args)
     obj = _parse_input(args.input)
     lines: list[tuple[str, str]] = []
     want_global = not (args.mstar or args.density or args.local is not None)
     if want_global or args.mstar or args.density or args.poly:
-        p = _phi_for_input(obj, cfg, args.cotree_only)
+        p = _phi_for_input(obj, cap, args.cotree_only)
     if want_global:
         lines.append(("mean", _format_value(global_mean(p), args.decimal)))
     if args.local is not None:
-        lp = _local_phi_for_input(obj, args.local, cfg, args.cotree_only)
+        lp = _local_phi_for_input(obj, args.local, cap, args.cotree_only)
         lines.append(("local", _format_value(global_mean(lp), args.decimal)))
     if args.mstar:
         lines.append(("mstar", _format_value(mstar_mean(p), args.decimal)))
@@ -194,9 +174,9 @@ def _cmd_mean(args: argparse.Namespace) -> int:
 
 
 def _cmd_reliability(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+    cap = _brute_force_cap(args)
     obj = _parse_input(args.input)
-    p = _phi_for_input(obj, cfg, cotree_only=False)
+    p = _phi_for_input(obj, cap, cotree_only=False)
     print(_format_value(node_reliability(p, args.p), args.decimal))
     return 0
 
@@ -211,7 +191,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     emit = args.emit
     if emit is None:
         emit = "graph6" if family in (Family.CONNECTED_GRAPHS, Family.CATERPILLARS) else "cotree"
-    spec = GeneratorSpec(family, args.order, args.shard)
+    spec = GeneratorSpec(family, args.order)
     for item in generate(spec):
         if emit == "cotree":
             if isinstance(item, Graph):
@@ -264,7 +244,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             "--nmax applies to a single suite; "
             "'all' runs each suite over its default range"
         )
-    cfg = _resolve_config(args)
+    output_format = _output_format(args)
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     suites = []
     all_pass = True
@@ -280,7 +260,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             }
         )
         all_pass = all_pass and all(v.passed for v in verdicts)
-    if cfg.output_format == "tsv":
+    if output_format == "tsv":
         print(_emit_tsv(suites))
     else:
         payload = suites[0] if len(suites) == 1 else {"suites": suites}
@@ -326,7 +306,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_enum = sub.add_parser("enumerate", help="stream an isomorphism-class family")
     p_enum.add_argument("family", choices=[f.value for f in Family])
     p_enum.add_argument("order", type=int)
-    p_enum.add_argument("--shard", type=_shard_arg, default=(0, 1), metavar="I/K")
     p_enum.add_argument("--emit", choices=["graph6", "cotree"])
     p_enum.set_defaults(func=_cmd_enumerate)
 

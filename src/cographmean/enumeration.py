@@ -1,4 +1,4 @@
-"""Exhaustive, deterministic, shardable generators.
+"""Exhaustive, deterministic generators.
 
 Three families of streams, each emitting every isomorphism class exactly
 once in a fixed order:
@@ -31,7 +31,7 @@ from typing import Iterator, Union
 # canonicalize is no longer called here; bench/selfcheck.py still checks that
 # the tracer wraps it in this namespace.
 from .cotree import JOIN, LEAF_TREE, UNION, Cotree, canonicalize, format_cotree
-from .errors import InvalidShard, OrderOutOfRange, UnknownFamily
+from .errors import OrderOutOfRange, UnknownFamily
 from .graph import Graph, _component, from_edge_list
 
 # The largest order whose full enumeration (``cographmean enumerate cographs
@@ -54,20 +54,14 @@ class Family(str, Enum):
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """A family, an order, and an optional (index, count) shard."""
+    """A family and an order."""
 
     family: Family
     order: int
-    shard: tuple[int, int] = (0, 1)
 
     def __post_init__(self):
         if self.order < 1:
             raise OrderOutOfRange(f"order must be >= 1, got {self.order}")
-        index, count = self.shard
-        if count < 1 or not 0 <= index < count:
-            raise InvalidShard(
-                f"invalid shard {index}/{count}: need K >= 1 and 0 <= I < K"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -379,15 +373,10 @@ _COTREE_FILTER = {
 
 
 def generate(spec: GeneratorSpec) -> Iterator[Union[Cotree, Graph]]:
-    """Stream the family named by ``spec``, restricted to its shard."""
+    """Stream the family named by ``spec``, every class once, in a fixed order."""
     family = Family(spec.family)
     if family is Family.CONNECTED_GRAPHS:
-        stream: Iterator[Union[Cotree, Graph]] = enumerate_connected_graphs(spec.order)
-    elif family is Family.CATERPILLARS:
-        stream = enumerate_caterpillars(spec.order)
-    else:
-        stream = enumerate_cotrees(spec.order, _COTREE_FILTER[family])
-    index, count = spec.shard
-    for i, item in enumerate(stream):
-        if i % count == index:
-            yield item
+        return enumerate_connected_graphs(spec.order)
+    if family is Family.CATERPILLARS:
+        return enumerate_caterpillars(spec.order)
+    return enumerate_cotrees(spec.order, _COTREE_FILTER[family])

@@ -77,9 +77,5 @@ class NoWitnessFound(CographMeanError):
     """An existence search completed without finding a witness."""
 
 
-class InvalidShard(CographMeanError):
-    """A shard I/K does not satisfy K >= 1 and 0 <= I < K."""
-
-
 class ConfigError(CographMeanError):
     """A configuration value or a file it names cannot be used."""

@@ -42,11 +42,17 @@ from .enumeration import (
     enumerate_cotrees,
     generate,
 )
-from .errors import InvalidShard, NoWitnessFound, OrderOutOfRange, RangeError
-from .graph import Graph, emit_graph6, from_edge_list, induced_subgraph, is_connected
+from .errors import NoWitnessFound, OrderOutOfRange, RangeError
+from .graph import (
+    MAX_ORDER,
+    Graph,
+    emit_graph6,
+    from_edge_list,
+    induced_subgraph,
+    is_connected,
+)
 from .knapsack import extremal_cotrees
 from .poly import (
-    DEFAULT_BRUTE_FORCE_CAP,
     MeanFamily,
     closed_form_means,
     closed_form_psi,
@@ -191,7 +197,7 @@ def max_mean_connected_cograph(n: int) -> Cotree:
     """The connected cograph of maximum global mean at each order.
 
     The first six orders have bespoke winners; from order 7 on it is the
-    star (verified by :func:`verify_star_max` up to its cap, order 24).
+    star (verified by :func:`verify_star_max` up to its cap, order 64).
     """
     if n < 1:
         raise RangeError(f"order must be >= 1, got {n}")
@@ -260,8 +266,6 @@ def knapsack_search(spec: GeneratorSpec, objective: Objective) -> ExtremalReport
     by :func:`~cographmean.knapsack.extremal_cotrees` without enumerating
     the family."""
     objective = Objective(objective)
-    if spec.shard != (0, 1):
-        raise InvalidShard(f"knapsack search does not shard, got {spec.shard}")
     family = Family(spec.family)
     winners, gap = extremal_cotrees(
         spec.order, _COTREE_FILTER[family], objective is Objective.GLOBAL_MEAN_MAX
@@ -275,10 +279,10 @@ def knapsack_search(spec: GeneratorSpec, objective: Objective) -> ExtremalReport
     )
 
 
-def _recheck_by_bruteforce(report: ExtremalReport) -> bool:
-    """Recompute a cotree winner's mean with ``phi_bruteforce``."""
-    graph = cotree_to_graph(parse_cotree(report.winner_form))
-    return global_mean(phi_bruteforce(graph)) == report.winner_mean
+def _recheck_by_phi_cotree(report: ExtremalReport) -> bool:
+    """Recompute a cotree winner's mean with ``phi_cotree``, the polynomial
+    recursion, which shares nothing with the knapsack's additive V and D."""
+    return global_mean(phi_cotree(parse_cotree(report.winner_form))) == report.winner_mean
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +300,7 @@ class ExtremalClaim:
     exactly one winner, printed as ``expected_form(n)``, with mean
     ``expected_mean(n)`` unless that is None.  On cotree families the
     report comes from :func:`knapsack_search`, and the winner's mean is
-    also recomputed by the connected-set counter."""
+    also recomputed from its tree by :func:`~cographmean.poly.phi_cotree`."""
 
     theorem: str
     family: Family
@@ -324,7 +328,7 @@ def run_claim(claim: ExtremalClaim, n_max: int) -> TheoremVerdict:
             report.is_unique
             and report.winner_form == claim.expected_form(n)
             and (expected_mean is None or report.winner_mean == expected_mean)
-            and (claim.family not in _COTREE_FILTER or _recheck_by_bruteforce(report))
+            and (claim.family not in _COTREE_FILTER or _recheck_by_phi_cotree(report))
         ):
             witness = {"order": n, "report": report.to_json_dict()}
             break
@@ -381,16 +385,15 @@ TABLE1 = ExtremalClaim(
     expected_mean=lambda n: _TABLE1_MEANS[n],
 )
 
-# The cotree claims below reach the connected-set counter's cap of 24, which
-# the winner recheck needs.  At that cap, on a 2-core host, `verify star-max
-# --nmax 24` took 6.8 s, `skillet-min` 11.6 s and `disconnected-max` 3.4 s,
-# each under 19 MB peak RSS; the knapsack takes under 0.4 s of each, the
-# recheck the rest.
+# The cotree claims below reach the largest graph order, 64.  At that order,
+# on a 2-core host, `verify star-max --nmax 64` took 3.7-4.7 s, `skillet-min`
+# 4.1-5.8 s and `disconnected-max` 4.8-5.0 s, each under 27 MB peak RSS; the
+# phi_cotree recheck takes under 0.03 s of each, the knapsack nearly all the rest.
 STAR_MAX = ExtremalClaim(
     theorem="star-unique-max-connected-cographs",
     family=Family.CONNECTED_COGRAPHS,
     objective=Objective.GLOBAL_MEAN_MAX,
-    lo=7, hi=DEFAULT_BRUTE_FORCE_CAP, range_label="star maximality sweep",
+    lo=7, hi=MAX_ORDER, range_label="star maximality sweep",
     expected_form=lambda n: format_cotree(star(n)),
     expected_mean=lambda n: closed_form_means(MeanFamily.STAR, n),
     log_line=lambda n, r: f"n={n}: star mean {r.winner_mean}, gap {r.runner_up_gap}",
@@ -400,7 +403,7 @@ SKILLET_MIN = ExtremalClaim(
     theorem="skillet-unique-min-connected-cographs",
     family=Family.CONNECTED_COGRAPHS,
     objective=Objective.GLOBAL_MEAN_MIN,
-    lo=3, hi=DEFAULT_BRUTE_FORCE_CAP, range_label="skillet minimality sweep",
+    lo=3, hi=MAX_ORDER, range_label="skillet minimality sweep",
     expected_form=lambda n: format_cotree(skillet(n)),
     expected_mean=lambda n: closed_form_means(MeanFamily.SKILLET, n),
     log_line=lambda n, r: f"n={n}: skillet mean {r.winner_mean}",
@@ -412,7 +415,7 @@ DISCONNECTED_MAX = ExtremalClaim(
     theorem="disconnected-max-is-k1-plus-best-connected",
     family=Family.DISCONNECTED_COGRAPHS,
     objective=Objective.GLOBAL_MEAN_MAX,
-    lo=2, hi=DEFAULT_BRUTE_FORCE_CAP, range_label="disconnected maximality sweep",
+    lo=2, hi=MAX_ORDER, range_label="disconnected maximality sweep",
     expected_form=lambda n: format_cotree(
         canonicalize(Cotree(UNION, (LEAF_TREE, max_mean_connected_cograph(n - 1))))
     ),

@@ -1,9 +1,11 @@
 """Command-line interface: outputs, exit codes, config plumbing."""
 
+import argparse
 import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -26,7 +28,7 @@ from cographmean import (
     from_edge_list,
     star,
 )
-from cographmean.cli import _parse_input, main
+from cographmean.cli import _build_parser, _parse_input, main
 from cographmean.enumeration import MAX_COTREE_LEAVES
 
 
@@ -151,15 +153,6 @@ def test_enumerate_emit_graph6(capsys):
     assert set(out.strip().splitlines()) == {"BW", "Bw"}
 
 
-def test_enumerate_shard_union(capsys):
-    _, full, _ = run(capsys, "enumerate", "cographs", "5")
-    parts = []
-    for i in range(3):
-        _, out, _ = run(capsys, "enumerate", "cographs", "5", "--shard", f"{i}/3")
-        parts.extend(out.strip().splitlines())
-    assert sorted(parts) == sorted(full.strip().splitlines())
-
-
 def test_verify_table1_json(capsys):
     code, out, _ = run(capsys, "verify", "table1")
     assert code == 0
@@ -257,6 +250,11 @@ def test_verify_table1_nmax_out_of_range(capsys):
     assert_usage_error(*run(capsys, "verify", "table1", "--nmax", "7"))
 
 
+@pytest.mark.parametrize("suite", ["star-max", "skillet-min", "disconnected-max"])
+def test_cotree_claim_nmax_past_64_is_usage_error(capsys, suite):
+    assert_usage_error(*run(capsys, "verify", suite, "--nmax", "65"))
+
+
 def test_non_integer_cap_env_is_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("COGRAPHMEAN_BRUTE_FORCE_CAP", "abc")
     assert_usage_error(*run(capsys, "mean", "J(L,L)"))
@@ -281,15 +279,29 @@ def test_cap_env_below_one_is_usage_error(capsys, monkeypatch, cap, argv):
     assert "COGRAPHMEAN_BRUTE_FORCE_CAP" in err and cap in err
 
 
-def test_invalid_shard_is_usage_error(capsys):
-    assert_usage_error(
-        *run(capsys, "enumerate", "connected-cographs", "5", "--shard", "3/2")
-    )
-
-
 def test_format_env_is_validated(capsys, monkeypatch):
     monkeypatch.setenv("COGRAPHMEAN_FORMAT", "xml")
     assert_usage_error(*run(capsys, "verify", "table1"))
+
+
+@pytest.mark.parametrize("cap", ["-3", "abc"])
+def test_verify_ignores_the_cap_env(capsys, monkeypatch, cap):
+    """No verify suite uses the brute-force cap, so verify does not read it."""
+    _, plain, _ = run(capsys, "verify", "table1")
+    monkeypatch.setenv("COGRAPHMEAN_BRUTE_FORCE_CAP", cap)
+    code, out, err = run(capsys, "verify", "table1")
+    assert (code, out, err) == (0, plain, "")
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [(("mean", "J(L,L)"), "4/3"), (("reliability", "Ch", "--p", "1/2"), "5/8")],
+)
+def test_mean_and_reliability_ignore_the_format_env(capsys, monkeypatch, argv, expected):
+    """Only verify has an output format, so only verify reads it."""
+    monkeypatch.setenv("COGRAPHMEAN_FORMAT", "xml")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.strip() == expected
 
 
 def test_cotree_enumeration_past_the_cap_is_usage_error(capsys):
@@ -428,3 +440,24 @@ def test_mean_of_any_string_exits_cleanly(text):
 
 def test_deeply_nested_cotree_is_a_usage_error(capsys):
     assert_usage_error(*run(capsys, "mean", "J(" * 2000))
+
+
+def test_readme_synopses_list_every_flag():
+    """Each ``* `COMMAND ...``` synopsis bullet in README.md names exactly
+    the ``--flags`` of that subcommand."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    bullets = re.findall(r"^\* `(mean|reliability|enumerate|verify) ([^`]*)`", readme, re.M)
+    readme_flags = {command: set(re.findall(r"--[a-z-]+", text)) for command, text in bullets}
+    (commands,) = [
+        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    parser_flags = {
+        name: {
+            flag
+            for action in sub._actions
+            for flag in action.option_strings
+            if flag.startswith("--") and flag != "--help"
+        }
+        for name, sub in commands.choices.items()
+    }
+    assert readme_flags == parser_flags

@@ -1,4 +1,4 @@
-"""Generators: counts against independent oracles, determinism, sharding."""
+"""Generators: counts against independent oracles, determinism."""
 
 import hashlib
 import os
@@ -29,7 +29,6 @@ from cographmean import (
     enumerate_connected_graphs,
     enumerate_cotrees,
     format_cotree,
-    generate,
     graph_to_cotree,
     is_connected,
 )
@@ -365,28 +364,8 @@ def test_caterpillars_are_pairwise_nonisomorphic():
 
 
 def test_generator_spec_validation():
-    with pytest.raises(ValueError):
-        GeneratorSpec(Family.COGRAPHS, 3, (2, 2))
     with pytest.raises(OrderOutOfRange):
         GeneratorSpec(Family.COGRAPHS, 0)
-
-
-@pytest.mark.parametrize(
-    "family,order",
-    [
-        (Family.COGRAPHS, 5),
-        (Family.CONNECTED_COGRAPHS, 6),
-        (Family.CONNECTED_GRAPHS, 5),
-        (Family.CATERPILLARS, 7),
-    ],
-)
-def test_shard_union_equals_full_stream(family, order):
-    full = list(generate(GeneratorSpec(family, order)))
-    for count in (2, 3):
-        merged = []
-        for index in range(count):
-            merged.extend(generate(GeneratorSpec(family, order, (index, count))))
-        assert sorted(map(repr, merged)) == sorted(map(repr, full))
 
 
 def test_streams_are_deterministic():

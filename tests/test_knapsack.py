@@ -14,7 +14,6 @@ import cographmean
 from cographmean import Family, GeneratorSpec, Objective, extremal_search
 from cographmean import verify as verify_module
 from cographmean.enumeration import enumerate_cotrees
-from cographmean.errors import InvalidShard
 from cographmean.knapsack import _Tables
 from cographmean.poly import phi_cotree
 from cographmean.verify import (
@@ -107,10 +106,3 @@ def test_cotree_claims_build_no_pool():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["True", "0"]
-
-
-def test_knapsack_search_does_not_shard():
-    with pytest.raises(InvalidShard):
-        knapsack_search(
-            GeneratorSpec(Family.CONNECTED_COGRAPHS, 5, (0, 2)), Objective.GLOBAL_MEAN_MAX
-        )

@@ -40,6 +40,7 @@ from cographmean.verify import (
     grid_graph,
     max_mean_connected_cograph,
     path_graph,
+    run_claim,
     theta_graph,
     verify_skillet_min,
     verify_star_max,
@@ -112,6 +113,18 @@ def test_star_max_and_skillet_min_reach_order_14():
     )
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("suite", ["star-max", "skillet-min", "disconnected-max"])
+def test_cotree_claims_reach_order_64(capsys, suite):
+    """The paper's theorems hold for every n; the cotree claims check them up
+    to the largest graph order (about 4-6 s each on a 2-core host)."""
+    assert main(["verify", suite, "--nmax", "64"]) == 0
+    (verdict,) = json.loads(capsys.readouterr().out)["verdicts"]
+    assert verdict["status"] == "PASS"
+    assert verdict["parameter_range"].endswith("..64")
+    assert verdict["log"][-1].startswith("n=64:")
+
+
 def test_verify_disconnected_max_small_window():
     verdict = verify_disconnected_max(8)
     assert verdict.passed
@@ -159,7 +172,7 @@ def test_nmax_validation():
     with pytest.raises(RangeError):
         verify_star_max(5)
     with pytest.raises(OrderOutOfRange):
-        verify_disconnected_max(25)
+        verify_disconnected_max(65)
 
 
 def test_inequality_sweeps_pass_and_log_boundaries():
@@ -328,9 +341,31 @@ def test_disconnected_max_checks_closed_form_mean_from_order_8(monkeypatch):
         return replace(report, winners=((form, mean + 1),))
 
     patch_searches(monkeypatch, add_one_to_mean)
-    monkeypatch.setattr(verify_module, "_recheck_by_bruteforce", lambda report: True)
+    monkeypatch.setattr(verify_module, "_recheck_by_phi_cotree", lambda report: True)
     assert verify_disconnected_max(7).passed
     verdict = verify_disconnected_max(8)
     assert verdict.status == "FAIL"
     assert verdict.witness["order"] == 8
     assert len(verdict.log) == 6
+
+
+def test_cotree_winner_mean_is_rechecked_by_phi_cotree(monkeypatch):
+    """DISCONNECTED_MAX pins no mean below order 8, so at order 5 only the
+    phi_cotree recheck can catch a knapsack winner carrying a wrong mean."""
+    real = verify_module.extremal_cotrees
+
+    def wrong_mean_at_5(n, connectivity, maximize):
+        winners, gap = real(n, connectivity, maximize)
+        if n == 5:
+            ((form, mean),) = winners
+            winners = ((form, mean + Fraction(1, 7)),)
+        return winners, gap
+
+    monkeypatch.setattr(verify_module, "extremal_cotrees", wrong_mean_at_5)
+    assert DISCONNECTED_MAX.expected_mean(5) is None
+    verdict = run_claim(DISCONNECTED_MAX, 6)
+    assert verdict.status == "FAIL"
+    assert verdict.witness["order"] == 5
+    (winner,) = verdict.witness["report"]["winners"]
+    assert winner["form"] == DISCONNECTED_MAX.expected_form(5)
+    assert len(verdict.log) == 3
