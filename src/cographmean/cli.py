@@ -7,12 +7,14 @@ graph6.  All numeric output is exact
 ("num/den" strings); ``--decimal`` appends a clearly marked 12-digit
 approximation.  Exit codes: 0 all good, 1 verification failure, 2
 usage/parse error, 141 stdout closed by the reader.
+
+``json`` and the ``verify`` module are imported by the commands that use
+them, so a ``mean`` or ``reliability`` process loads neither.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
@@ -25,6 +27,7 @@ from .cotree import (
     graph_to_cotree_with_leaves,
     parse_cotree,
 )
+# The enumerate parser takes its choices from Family, so this one stays eager.
 from .enumeration import Family, GeneratorSpec, generate
 from .errors import CographMeanError, ConfigError, NotACograph, VertexOutOfRange
 from .graph import Graph, emit_graph6, parse_graph6
@@ -37,17 +40,6 @@ from .poly import (
     phi_cotree,
     phi_local_bruteforce,
     phi_local_cotree,
-)
-from .verify import (
-    verify_disconnected_max,
-    verify_inequality_sweeps,
-    verify_local_counterexample,
-    verify_path_min_conjecture,
-    verify_skillet_min,
-    verify_star_max,
-    verify_structural_theorems,
-    verify_table1,
-    verify_table2,
 )
 
 _ENV_PREFIX = "COGRAPHMEAN_"
@@ -132,6 +124,10 @@ def _phi_for_input(obj: Cotree | Graph, cap: int | None, cotree_only: bool):
 
 
 def _local_phi_for_input(obj: Cotree | Graph, v: int, cap: int | None, cotree_only: bool):
+    # A cotree's leaves are its vertices, so both inputs get the same message.
+    n = obj.leaf_count if isinstance(obj, Cotree) else obj.order
+    if not 0 <= v < n:
+        raise VertexOutOfRange(f"vertex {v} outside 0..{n - 1}")
     if isinstance(obj, Cotree):
         return phi_local_cotree(obj, v)
     try:
@@ -140,8 +136,6 @@ def _local_phi_for_input(obj: Cotree | Graph, v: int, cap: int | None, cotree_on
         if cotree_only:
             raise
         return phi_local_bruteforce(obj, v, cap)
-    if not 0 <= v < obj.order:
-        raise VertexOutOfRange(f"vertex {v} outside 0..{obj.order - 1}")
     return phi_local_cotree(tree, leaf[v])
 
 
@@ -149,14 +143,16 @@ def _cmd_mean(args: argparse.Namespace) -> int:
     cap = _brute_force_cap(args)
     obj = _parse_input(args.input)
     lines: list[tuple[str, str]] = []
+    # The local polynomial comes first, so that a bad vertex is rejected
+    # before the global count.  "mean" is printed only without --local.
+    if args.local is not None:
+        lp = _local_phi_for_input(obj, args.local, cap, args.cotree_only)
+        lines.append(("local", _format_value(global_mean(lp), args.decimal)))
     want_global = not (args.mstar or args.density or args.local is not None)
     if want_global or args.mstar or args.density or args.poly:
         p = _phi_for_input(obj, cap, args.cotree_only)
     if want_global:
         lines.append(("mean", _format_value(global_mean(p), args.decimal)))
-    if args.local is not None:
-        lp = _local_phi_for_input(obj, args.local, cap, args.cotree_only)
-        lines.append(("local", _format_value(global_mean(lp), args.decimal)))
     if args.mstar:
         lines.append(("mstar", _format_value(mstar_mean(p), args.decimal)))
     if args.density:
@@ -167,6 +163,8 @@ def _cmd_mean(args: argparse.Namespace) -> int:
         for label, value in lines:
             print(f"{label}\t{value}")
     if args.poly:
+        import json
+
         print(f"poly\t{json.dumps(p.to_json_dict(), sort_keys=True)}")
         if args.local is not None:
             print(f"local_poly\t{json.dumps(lp.to_json_dict(), sort_keys=True)}")
@@ -208,20 +206,21 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-# suite -> (default --nmax, runner).  The key order is the order of
-# ``verify all``.
+# suite -> (default --nmax, runner).  A runner takes the ``verify`` module,
+# which only ``_cmd_verify`` imports, and the order cap.  The key order is
+# the order of ``verify all``.
 _SUITES = {
-    "table1": (6, lambda n: [verify_table1(n)]),
-    "table2": (7, lambda n: [verify_table2(n)]),
-    "skillet-min": (12, lambda n: [verify_skillet_min(n)]),
-    "star-max": (12, lambda n: [verify_star_max(n)]),
-    "disconnected-max": (10, lambda n: [verify_disconnected_max(n)]),
+    "table1": (6, lambda v, n: [v.verify_table1(n)]),
+    "table2": (7, lambda v, n: [v.verify_table2(n)]),
+    "skillet-min": (12, lambda v, n: [v.verify_skillet_min(n)]),
+    "star-max": (12, lambda v, n: [v.verify_star_max(n)]),
+    "disconnected-max": (10, lambda v, n: [v.verify_disconnected_max(n)]),
     "local-mean": (
         8,
-        lambda n: verify_structural_theorems(n) + [verify_local_counterexample()],
+        lambda v, n: v.verify_structural_theorems(n) + [v.verify_local_counterexample()],
     ),
-    "inequalities": (64, verify_inequality_sweeps),
-    "path-conjecture": (7, lambda n: [verify_path_min_conjecture(n)]),
+    "inequalities": (64, lambda v, n: v.verify_inequality_sweeps(n)),
+    "path-conjecture": (7, lambda v, n: [v.verify_path_min_conjecture(n)]),
 }
 
 
@@ -245,13 +244,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             "'all' runs each suite over its default range"
         )
     output_format = _output_format(args)
+    import json
+
+    from . import verify
+
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     suites = []
     all_pass = True
     for name in names:
         default_nmax, runner = _SUITES[name]
         nmax = default_nmax if args.nmax is None else args.nmax
-        verdicts = runner(nmax)
+        verdicts = runner(verify, nmax)
         suites.append(
             {
                 "suite": name,

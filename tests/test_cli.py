@@ -255,6 +255,20 @@ def test_cotree_claim_nmax_past_64_is_usage_error(capsys, suite):
     assert_usage_error(*run(capsys, "verify", suite, "--nmax", "65"))
 
 
+@pytest.mark.parametrize("nmax", ["8", "513", "100000"])
+def test_inequalities_nmax_outside_9_to_512_is_usage_error(capsys, nmax):
+    code, out, err = run(capsys, "verify", "inequalities", "--nmax", nmax)
+    assert_usage_error(code, out, err)
+    assert "9..512" in err
+
+
+@pytest.mark.slow
+def test_inequalities_pass_at_their_cap(capsys):
+    code, out, _ = run(capsys, "verify", "inequalities", "--nmax", "512")
+    assert code == 0
+    assert all(v["status"] == "PASS" for v in json.loads(out)["verdicts"])
+
+
 def test_non_integer_cap_env_is_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("COGRAPHMEAN_BRUTE_FORCE_CAP", "abc")
     assert_usage_error(*run(capsys, "mean", "J(L,L)"))
@@ -330,6 +344,61 @@ def test_closed_stdout_exits_141_without_traceback(tmp_path):
     assert err_path.read_bytes() == b""
 
 
+def _fresh_cli(*argv: str) -> tuple[subprocess.CompletedProcess, set[str]]:
+    """Run ``python -m cographmean.cli ARGV`` in a new process with
+    ``-X importtime``, and return it with the package modules it imported."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cographmean.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "cographmean.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    imported = {
+        line.rsplit("|", 1)[1].strip()
+        for line in done.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    return done, {m for m in imported if m.split(".")[0] == "cographmean"}
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("mean", "J(L,U(L,L,L))"), "23/11"),
+        (("mean", "Ch", "--local", "0", "--poly"), "5/2"),
+        (("reliability", "Ch", "--p", "1/2"), "5/8"),
+    ],
+)
+def test_mean_and_reliability_load_only_the_counting_modules(argv, expected):
+    done, imported = _fresh_cli(*argv)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0] == expected
+    # cli itself runs as __main__
+    assert imported == {
+        "cographmean",
+        "cographmean.cotree",
+        # the enumerate parser takes its choices from Family
+        "cographmean.enumeration",
+        "cographmean.errors",
+        "cographmean.graph",
+        "cographmean.poly",
+    }
+
+
+def test_fresh_verify_and_enumerate_print_what_they_printed_before():
+    done, imported = _fresh_cli("verify", "table1")
+    assert done.returncode == 0, done.stderr
+    assert {"cographmean.verify", "cographmean.knapsack"} <= imported
+    digest = hashlib.sha256(done.stdout.encode()).hexdigest()
+    assert digest == VERIFY_STDOUT_SHA256["table1"]
+    done, _ = _fresh_cli("enumerate", "cographs", "5")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.count("\n") == 24  # OEIS A000084
+    assert (
+        hashlib.sha256(done.stdout.encode()).hexdigest()
+        == "1139b1fec9de55c7f70886705b28cd1da0f1572d90ac30b7230cfc340db56912"
+    )
+
+
 @pytest.mark.parametrize(
     "graph6, mean",
     [
@@ -379,6 +448,16 @@ def test_local_mean_skips_the_global_polynomial(capsys, monkeypatch):
     assert code == 0 and out.strip() == "5/2"
 
 
+def test_bad_local_vertex_is_rejected_before_the_global_count(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the vertex is checked before the global polynomial")
+
+    monkeypatch.setattr("cographmean.cli.phi_bruteforce", refuse)
+    code, out, err = run(capsys, "mean", _P4, "--local", "4", "--poly")
+    assert_usage_error(code, out, err)
+    assert err == "error: vertex 4 outside 0..3\n"
+
+
 @pytest.mark.parametrize(
     "extra",
     [
@@ -392,7 +471,23 @@ def test_local_mean_errors_without_the_global_polynomial(capsys, extra):
 
 
 def test_local_mean_on_a_cotree_rejects_a_bad_leaf(capsys):
-    assert_usage_error(*run(capsys, "mean", "J(L,L)", "--local", "2"))
+    code, out, err = run(capsys, "mean", "J(L,L)", "--local", "2")
+    assert_usage_error(code, out, err)
+    assert err == "error: vertex 2 outside 0..1\n"
+
+
+@pytest.mark.parametrize(
+    "text, vertex, message",
+    [
+        ("J(L,L)", "-1", "vertex -1 outside 0..1"),
+        ("Bw", "3", "vertex 3 outside 0..2"),  # a graph6 cograph (the triangle)
+        ("Ch", "4", "vertex 4 outside 0..3"),  # a graph6 non-cograph (P4)
+    ],
+)
+def test_local_vertex_out_of_range_reads_alike_for_every_input(capsys, text, vertex, message):
+    code, out, err = run(capsys, "mean", text, "--local", vertex)
+    assert_usage_error(code, out, err)
+    assert err == f"error: {message}\n"
 
 
 def test_local_mean_with_poly_prints_both_polynomials(capsys):
