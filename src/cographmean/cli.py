@@ -28,7 +28,7 @@ from .cotree import (
     parse_cotree,
 )
 # The enumerate parser takes its choices from Family, so this one stays eager.
-from .enumeration import Family, GeneratorSpec, generate
+from .enumeration import Family, GeneratorSpec, canonical_graph, generate
 from .errors import CographMeanError, ConfigError, NotACograph, VertexOutOfRange
 from .graph import Graph, emit_graph6, parse_graph6
 from .poly import (
@@ -189,8 +189,12 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     emit = args.emit
     if emit is None:
         emit = "graph6" if family in (Family.CONNECTED_GRAPHS, Family.CATERPILLARS) else "cotree"
-    spec = GeneratorSpec(family, args.order)
-    for item in generate(spec):
+    items = generate(GeneratorSpec(family, args.order))
+    if family is Family.CONNECTED_GRAPHS:
+        # Classes arrive in build order.  Print their canonical forms, in the
+        # order of their codes, which is the order of their graph6 strings.
+        items = sorted(map(canonical_graph, items), key=emit_graph6)
+    for item in items:
         if emit == "cotree":
             if isinstance(item, Graph):
                 item = graph_to_cotree(item)  # NotACograph escapes as a usage error

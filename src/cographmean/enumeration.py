@@ -12,9 +12,10 @@ once in a fixed order:
   vertices, a cell chosen without reference to labels, so each class is
   still reached by deleting one of those vertices.  Kept extensions are
   deduplicated on a cheap certificate, the minimal code over the
-  labellings that respect that partition, and each class then gets its
-  canonical representative once (lexicographically minimal upper-triangle
-  bitstring over all vertex permutations);
+  labellings that respect that partition, and the first extension kept
+  for each class is its representative.  The canonical representative
+  (lexicographically minimal upper-triangle bitstring over all vertex
+  permutations) is computed only for graphs that are printed;
 * caterpillar trees, encoded by spine length plus per-spine leaf counts,
   deduplicated under reversal.
 """
@@ -38,8 +39,10 @@ from .graph import Graph, _component, from_edge_list
 # N``) was measured to finish within 60 s and 1 GB peak RSS on a 2-core host:
 # 15 leaves took 29 s and 649 MB; 16 leaves passed 1 GB before printing.
 MAX_COTREE_LEAVES = 15
-# Building every class of order 8 (12,346 of them) took 8-10 s on a 2-core
-# host; order 9 has 274,668 classes and was not measured.
+# On a 2-core host, ``enumerate connected-graphs 8`` took 6-7 s, most of it
+# in the canonical forms of its 11,117 lines; building the 12,346 classes
+# alone took 2-3 s.  Order 9 built its 274,668 classes in 42 s and 121 MB,
+# but would print 261,080 canonical forms.
 MAX_GRAPH_ENUM_ORDER = 8
 MAX_CATERPILLAR_ORDER = 20
 
@@ -128,16 +131,9 @@ def enumerate_cotrees(order: int, connectivity: str = "all") -> Iterator[Cotree]
 # ---------------------------------------------------------------------------
 
 
-def _adj_to_code(n: int, adj: tuple[int, ...]) -> int:
-    """Pack the upper triangle, column-major, first bit most significant."""
-    code = 0
-    for col in range(1, n):
-        for row in range(col):
-            code = code << 1 | (adj[row] >> col & 1)
-    return code
-
-
 def _code_to_adj(n: int, code: int) -> tuple[int, ...]:
+    """Unpack a triangle code: the upper triangle, column-major, first bit
+    most significant."""
     adj = [0] * n
     pos = n * (n - 1) // 2 - 1
     for col in range(1, n):
@@ -239,21 +235,17 @@ def _min_code(n: int, adj: tuple[int, ...], cell_of: tuple[int, ...] | None = No
     return code
 
 
-# order -> the codes of _graph_classes(order), for every order built so far.
-# canonical_graph only reads it, so it never triggers a build.
-_BUILT_CLASSES: dict[int, frozenset[int]] = {}
-
-
 def canonical_graph(g: Graph) -> Graph:
-    """The canonical representative of a graph's isomorphism class."""
-    if _adj_to_code(g.order, g.adj) in _BUILT_CLASSES.get(g.order, ()):
-        return g  # already a class representative, e.g. from the graph stream
+    """The canonical representative of a graph's isomorphism class: the
+    relabelling whose triangle code is the minimal :func:`_min_code`.  Its
+    graph6 string is the printed form of the class."""
     return Graph(g.order, _code_to_adj(g.order, _min_code(g.order, g.adj)))
 
 
 @lru_cache(maxsize=None)
-def _graph_classes(order: int) -> tuple[int, ...]:
-    """Sorted canonical codes of every isomorphism class of the given order.
+def _graph_classes(order: int) -> tuple[tuple[int, ...], ...]:
+    """One adjacency tuple per isomorphism class of the given order, in
+    build order.
 
     Every class of order n arises by adding a vertex to a class of order
     n-1.  An extension is kept only when the new vertex lies in the last
@@ -264,45 +256,45 @@ def _graph_classes(order: int) -> tuple[int, ...]:
     class's representative is one of the extensions tried.  The last cell
     holds only vertices of maximum degree, so most extensions are dropped
     on degrees before any refinement.  The kept extensions are
-    deduplicated on the cheap cell-restricted code, and the full
-    :func:`_min_code` runs once per class.
+    deduplicated on the cheap cell-restricted code, and the first one of
+    each class represents it.  A representative need not be canonical:
+    :func:`canonical_graph` gives the printed form.
     """
     if order == 1:
-        codes: tuple[int, ...] = (0,)
-    else:
-        new = order - 1  # the added vertex
-        seen: dict[int, tuple[int, ...]] = {}
-        for code in _graph_classes(new):
-            base = _code_to_adj(new, code)
-            top = max(a.bit_count() for a in base)
-            at_top = sum(1 << v for v, a in enumerate(base) if a.bit_count() == top)
-            for nbrs in range(1 << new):
-                # Only vertices of maximum degree reach the last cell.  With
-                # fewer than ``top`` neighbours, or with ``top`` and one of
-                # them of degree ``top``, the new vertex is not among them.
-                size = nbrs.bit_count()
-                if size < top or size == top and nbrs & at_top:
-                    continue
-                adj = tuple(
-                    base[v] | (nbrs >> v & 1) << new for v in range(new)
-                ) + (nbrs,)
-                cell_of = _cells(order, adj)
-                if cell_of[-1] >> new & 1:
-                    seen.setdefault(_min_code(order, adj, cell_of), adj)
-        codes = tuple(sorted(_min_code(order, adj) for adj in seen.values()))
-    _BUILT_CLASSES[order] = frozenset(codes)
-    return codes
+        return ((0,),)
+    new = order - 1  # the added vertex
+    seen: dict[int, tuple[int, ...]] = {}
+    for base in _graph_classes(new):
+        top = max(a.bit_count() for a in base)
+        at_top = sum(1 << v for v, a in enumerate(base) if a.bit_count() == top)
+        for nbrs in range(1 << new):
+            # Only vertices of maximum degree reach the last cell.  With
+            # fewer than ``top`` neighbours, or with ``top`` and one of
+            # them of degree ``top``, the new vertex is not among them.
+            size = nbrs.bit_count()
+            if size < top or size == top and nbrs & at_top:
+                continue
+            adj = tuple(
+                base[v] | (nbrs >> v & 1) << new for v in range(new)
+            ) + (nbrs,)
+            cell_of = _cells(order, adj)
+            if cell_of[-1] >> new & 1:
+                seen.setdefault(_min_code(order, adj, cell_of), adj)
+    return tuple(seen.values())
 
 
 def enumerate_connected_graphs(order: int) -> Iterator[Graph]:
-    """One canonical representative per connected isomorphism class."""
+    """One representative per connected isomorphism class, in build order.
+
+    The representatives need not be in canonical form; map them through
+    :func:`canonical_graph` for the printed form.
+    """
     if not 1 <= order <= MAX_GRAPH_ENUM_ORDER:
         raise OrderOutOfRange(
             f"graph enumeration supports 1..{MAX_GRAPH_ENUM_ORDER}, got {order}"
         )
     full = (1 << order) - 1
-    for code in _graph_classes(order):
-        adj = _code_to_adj(order, code)
+    for adj in _graph_classes(order):
         if _component(adj, full, 1) == full:
             yield Graph(order, adj)
 

@@ -217,18 +217,13 @@ def max_mean_connected_cograph(n: int) -> Cotree:
 # ---------------------------------------------------------------------------
 
 
-def _item_form_and_mean(item: Cotree | Graph) -> tuple[str, Fraction]:
-    if isinstance(item, Cotree):
-        return format_cotree(item), global_mean(phi_cotree(item))
-    return emit_graph6(canonical_graph(item)), global_mean(phi_bruteforce(item))
-
-
 def extremal_search(spec: GeneratorSpec, objective: Objective) -> ExtremalReport:
     """Exact argmax/argmin of the global mean over one enumerated family.
 
     All tied winners are reported, sorted by canonical form;
     ``runner_up_gap`` is the distance to the best strictly worse value
-    (None when the family has a single distinct value).
+    (None when the family has a single distinct value).  Only the winners
+    are put in canonical form.
     """
     objective = Objective(objective)
     maximize = objective is Objective.GLOBAL_MEAN_MAX
@@ -238,19 +233,26 @@ def extremal_search(spec: GeneratorSpec, objective: Objective) -> ExtremalReport
 
     best: Fraction | None = None
     second: Fraction | None = None
-    winners: list[tuple[str, Fraction]] = []
+    tied: list[Cotree | Graph] = []
     for item in generate(spec):
-        form, mean = _item_form_and_mean(item)
+        if isinstance(item, Cotree):
+            mean = global_mean(phi_cotree(item))
+        else:
+            mean = global_mean(phi_bruteforce(item))
         if best is None:
-            best, winners = mean, [(form, mean)]
+            best, tied = mean, [item]
         elif mean == best:
-            winners.append((form, mean))
+            tied.append(item)
         elif better(mean, best):
             second = best
-            best, winners = mean, [(form, mean)]
+            best, tied = mean, [item]
         elif second is None or better(mean, second):
             second = mean
-    winners.sort(key=lambda pair: pair[0])
+    winners = sorted(
+        (format_cotree(item) if isinstance(item, Cotree)
+         else emit_graph6(canonical_graph(item)), best)
+        for item in tied
+    )
     gap = None if second is None else abs(best - second)
     return ExtremalReport(
         family=Family(spec.family).value,

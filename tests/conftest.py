@@ -135,6 +135,13 @@ def oracle_graph_classes(n: int) -> tuple[int, ...]:
     return tuple(sorted(seen))
 
 
+def class_codes(n: int) -> tuple[int, ...]:
+    """Sorted canonical codes of the classes ``_graph_classes(n)`` builds."""
+    from cographmean.enumeration import _graph_classes, _min_code
+
+    return tuple(sorted(_min_code(n, adj) for adj in _graph_classes(n)))
+
+
 def relabel(g: Graph, perm) -> Graph:
     """Vertex v of ``g`` becomes vertex ``perm[v]``."""
     return from_edge_list(g.order, [(perm[u], perm[v]) for u, v in g.edges()])

@@ -43,7 +43,7 @@ from cographmean import (
     verify_table1,
     verify_table2,
 )
-from cographmean.enumeration import _code_to_adj, _graph_classes, canonical_graph
+from cographmean.enumeration import _graph_classes, canonical_graph
 from cographmean.errors import NotACograph
 from cographmean.graph import Graph, emit_graph6, from_edge_list
 from cographmean.cotree import graph_to_cotree
@@ -274,8 +274,8 @@ def test_criterion_11_complement_identity_exactly_on_cographs():
     ok = True
     for n in range(1, 8):
         binomials = [comb(n, k) for k in range(1, n + 1)]
-        for code in _graph_classes(n):
-            g = Graph(n, _code_to_adj(n, code))
+        for adj in _graph_classes(n):
+            g = Graph(n, adj)
             try:
                 t = graph_to_cotree(g)
                 is_cograph = True

@@ -227,6 +227,41 @@ def test_enumerate_connected_graphs_7_is_pinned(capsys):
     )
 
 
+# sha256 of `enumerate connected-graphs N` stdout, taken before the class
+# build stopped putting every class in canonical form.
+ENUMERATE_CONNECTED_GRAPHS_SHA256 = {
+    1: "ecf5de1a2ecc66a1876a832804c64f6b5125784e94c82285d9720621c613ab46",
+    2: "fae4bfc454bd04363dcd5222772f2973b1193e1ff6f676e822a427323a677ef9",
+    3: "5966edf890849db6cb03626431916231a81a30c9db9a4781a4a8f2e5dc7e6129",
+    4: "b0024cb6b9eb3ef85ae992cd8b602640c1806b2e8f7e7a2cf8c6d7ab7603aee5",
+    5: "0e90fd086c9d638cd8fdc133931d35474b837a0a953beae89ae1015692920f61",
+    6: "d0b7bbaf90fd1e431c1ae94492b7f36644d7c3e78069161158a3179ab145d0b2",
+    8: "370179f0d16fe7beee1c5b3baca8898cf6f0f9154058486f03031eec0611a145",
+}
+
+
+@pytest.mark.parametrize(
+    "n", [*range(1, 7), pytest.param(8, marks=pytest.mark.slow)]
+)
+def test_enumerate_connected_graphs_is_pinned(capsys, n):
+    code, out, _ = run(capsys, "enumerate", "connected-graphs", str(n))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_CONNECTED_GRAPHS_SHA256[n]
+
+
+@pytest.mark.parametrize("n, first", [(4, "J(L,U(L,L,L))"), (5, "J(L,U(L,L,L,L))")])
+def test_enumerate_connected_graphs_as_cotrees_stops_at_the_first_non_cograph(
+    capsys, n, first
+):
+    # The star comes first in printed order; the next class is not a cograph.
+    code, out, err = run(capsys, "enumerate", "connected-graphs", str(n), "--emit", "cotree")
+    assert code == 2
+    assert out == first + "\n"
+    assert err == (
+        f"error: graph has a connected order-{n} subgraph with connected complement\n"
+    )
+
+
 def test_verify_table1_honours_nmax(capsys):
     code, out, _ = run(capsys, "verify", "table1", "--nmax", "3")
     assert code == 0

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     all_labeled_graphs,
+    class_codes,
     has_induced_p4,
     oracle_graph_classes,
     oracle_min_code,
@@ -35,7 +36,6 @@ from cographmean import (
 from cographmean.cotree import JOIN, LEAF, UNION, canonicalize, cotree_to_graph
 from cographmean.enumeration import (
     MAX_COTREE_LEAVES,
-    _adj_to_code,
     _cells,
     _code_to_adj,
     _cotree_pool,
@@ -43,7 +43,8 @@ from cographmean.enumeration import (
     _min_code,
 )
 from cographmean.errors import OrderOutOfRange
-from cographmean.graph import Graph
+from cographmean.graph import Graph, emit_graph6, parse_graph6
+from cographmean.verify import PATH_MIN, TABLE2, extremal_search
 
 
 # OEIS A000084 (cographs) and A000669 (connected cographs)
@@ -73,7 +74,7 @@ def test_cotree_counts(n):
 @pytest.mark.parametrize("n", range(2, 7))
 def test_cotree_counts_against_p4_free_filter(n):
     # the independent oracle: count isomorphism classes of P4-free graphs
-    classes = [Graph(n, _code_to_adj(n, code)) for code in _graph_classes(n)]
+    classes = [Graph(n, adj) for adj in _graph_classes(n)]
     cographs = [g for g in classes if not has_induced_p4(g)]
     assert sum(1 for _ in enumerate_cotrees(n)) == len(cographs)
     assert sum(1 for _ in enumerate_cotrees(n, "connected")) == sum(
@@ -141,12 +142,22 @@ def test_graph_class_counts(n):
     assert len(_graph_classes(n)) == GRAPH_CLASS_COUNTS[n]
 
 
-@pytest.mark.slow
+def test_graph_classes_compute_no_printed_form(monkeypatch):
+    real = cographmean.enumeration._min_code
+
+    def restricted_only(n, adj, cell_of=None):
+        assert cell_of is not None, "the class build asked for a printed form"
+        return real(n, adj, cell_of)
+
+    monkeypatch.setattr(cographmean.enumeration, "_min_code", restricted_only)
+    assert len(_graph_classes.__wrapped__(7)) == GRAPH_CLASS_COUNTS[7]
+
+
 def test_graph_class_count_order_8():
     assert len(_graph_classes(8)) == 12346
 
 
-# sha256 of repr(_graph_classes(8)), measured on the build that kept every
+# sha256 of repr(class_codes(8)), measured on the build that kept every
 # extension.  A wrong representative of some class changes it; the count
 # alone would not.
 GRAPH_CLASSES_8_SHA256 = "c111dd87b36a72456faffe8e55b63e390c86a4e12b4d82eaa802b100e9950823"
@@ -154,13 +165,13 @@ GRAPH_CLASSES_8_SHA256 = "c111dd87b36a72456faffe8e55b63e390c86a4e12b4d82eaa802b1
 
 @pytest.mark.slow
 def test_graph_classes_order_8_are_pinned():
-    digest = hashlib.sha256(repr(_graph_classes(8)).encode()).hexdigest()
+    digest = hashlib.sha256(repr(class_codes(8)).encode()).hexdigest()
     assert digest == GRAPH_CLASSES_8_SHA256
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_graph_classes_equal_the_full_code_scan(n):
-    assert _graph_classes(n) == oracle_graph_classes(n)
+    assert class_codes(n) == oracle_graph_classes(n)
 
 
 def test_cells_are_an_equitable_partition(rng):
@@ -237,7 +248,7 @@ def test_graph_classes_against_permutation_oracle():
     seen = set()
     for g in all_labeled_graphs(4):
         seen.add(oracle_min_code(g))
-    assert sorted(seen) == list(_graph_classes(4))
+    assert sorted(seen) == list(class_codes(4))
 
 
 def test_min_code_matches_oracle_on_order_5_sample(rng):
@@ -268,16 +279,23 @@ def test_canonical_graph_is_idempotent_and_invariant(rng):
         assert canonical_graph(relabeled) == c
 
 
-@pytest.mark.parametrize("n", range(1, 8))
-def test_canonical_graph_returns_every_class_representative_unchanged(n):
-    for code in _graph_classes(n):
-        g = Graph(n, _code_to_adj(n, code))
-        assert canonical_graph(g) is g
+def test_winner_forms_are_the_canonical_form_of_a_relabelled_copy(rng):
+    # The class representatives a search scores are not canonical; only its
+    # winners are put in canonical form, and any labelling must print alike.
+    for claim in (TABLE2, PATH_MIN):
+        for n in range(claim.lo, 8):
+            report = extremal_search(GeneratorSpec(claim.family, n), claim.objective)
+            for form, _ in report.winners:
+                perm = list(range(n))
+                rng.shuffle(perm)
+                relabelled = relabel(parse_graph6(form), perm)
+                assert emit_graph6(canonical_graph(relabelled)) == form
 
 
 def test_relabelled_representatives_reach_the_representative(rng):
     for n in range(2, 8):
-        for code in rng.sample(_graph_classes(n), min(25, len(_graph_classes(n)))):
+        codes = class_codes(n)
+        for code in rng.sample(codes, min(25, len(codes))):
             g = Graph(n, _code_to_adj(n, code))
             perm = list(range(n))
             rng.shuffle(perm)
@@ -300,16 +318,15 @@ def test_canonical_graph_never_builds_a_class_table():
 
 
 def test_code_round_trip():
-    for n in range(2, 7):
-        for code in _graph_classes(n):
-            assert _adj_to_code(n, _code_to_adj(n, code)) == code
+    for n in range(1, 7):
+        for code in class_codes(n):
+            assert _min_code(n, _code_to_adj(n, code)) == code
 
 
-def test_enumerated_graphs_are_canonical_and_connected():
+def test_enumerated_graphs_are_connected():
     for n in range(1, 7):
         for g in enumerate_connected_graphs(n):
             assert is_connected(g)
-            assert canonical_graph(g) == g
 
 
 def test_graph_enumeration_range():
@@ -347,10 +364,9 @@ def _is_caterpillar_tree(g: Graph) -> bool:
 def test_caterpillars_match_tree_filter_oracle(n):
     # oracle: filter all isomorphism classes for caterpillar trees
     expected = set()
-    for code in _graph_classes(n):
-        g = Graph(n, _code_to_adj(n, code))
-        if _is_caterpillar_tree(g):
-            expected.add(code)
+    for adj in _graph_classes(n):
+        if _is_caterpillar_tree(Graph(n, adj)):
+            expected.add(_min_code(n, adj))
     got = {
         _min_code(n, canonical_graph(g).adj) for g in enumerate_caterpillars(n)
     }

@@ -132,17 +132,17 @@ def test_complement_xor_iff_p4_free_labeled(n):
 
 @pytest.mark.parametrize("n", [6, 7])
 def test_complement_xor_iff_p4_free_classes(n):
-    from cographmean.enumeration import _code_to_adj, _graph_classes
+    from cographmean.enumeration import _graph_classes
 
-    for code in _graph_classes(n):
-        g = Graph(n, _code_to_adj(n, code))
+    for adj in _graph_classes(n):
+        g = Graph(n, adj)
         assert _complement_xor_holds(g) == (not has_induced_p4(g))
 
 
 @pytest.mark.slow
 def test_complement_xor_iff_p4_free_order8():
-    from cographmean.enumeration import _code_to_adj, _graph_classes
+    from cographmean.enumeration import _graph_classes
 
-    for code in _graph_classes(8):
-        g = Graph(8, _code_to_adj(8, code))
+    for adj in _graph_classes(8):
+        g = Graph(8, adj)
         assert _complement_xor_holds(g) == (not has_induced_p4(g))

@@ -8,7 +8,7 @@ from conftest import all_labeled_graphs, relabel
 from test_connected_sets import graphs
 
 from cographmean import canonical_graph, emit_graph6, from_edge_list, parse_graph6
-from cographmean.enumeration import _code_to_adj, _graph_classes
+from cographmean.enumeration import _graph_classes
 from cographmean.errors import (
     MalformedHeader,
     OrderOutOfRange,
@@ -84,8 +84,8 @@ def test_round_trip_all_labeled_graphs_order_up_to_4():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_round_trip_all_classes(n):
-    for code in _graph_classes(n):
-        g = Graph(n, _code_to_adj(n, code))
+    for adj in _graph_classes(n):
+        g = Graph(n, adj)
         assert parse_graph6(emit_graph6(g)) == g
 
 

@@ -84,6 +84,20 @@ def test_extremal_search_reports_all_ties(monkeypatch):
     assert report.runner_up_gap == Fraction(13, 5) - Fraction(14, 9)
 
 
+@pytest.mark.parametrize("objective", list(Objective))
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_extremal_search_formats_only_its_winners(monkeypatch, n, objective):
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return canonical_graph(g)
+
+    monkeypatch.setattr(verify_module, "canonical_graph", counted)
+    report = extremal_search(GeneratorSpec(Family.CONNECTED_GRAPHS, n), objective)
+    assert len(calls) == len(report.winners)
+
+
 def test_verify_table1_passes():
     verdict = verify_table1()
     assert verdict.passed
