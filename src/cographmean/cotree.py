@@ -15,8 +15,6 @@ with at least two arguments per U/J node; whitespace is ignored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import (
     ArityError,
     CotreeSyntaxError,
@@ -26,6 +24,7 @@ from .errors import (
 from .graph import (
     MAX_ORDER,
     Graph,
+    Value,
     complement,
     connected_components,
     induced_subgraph,
@@ -39,8 +38,7 @@ JOIN = "join"
 _LETTER = {UNION: "U", JOIN: "J"}
 
 
-@dataclass(frozen=True)
-class Cotree:
+class Cotree(Value):
     """Immutable cotree node.
 
     Each node stores its printed expression in ``form`` when it is built.
@@ -50,33 +48,27 @@ class Cotree:
     a cached string hash.
     """
 
-    kind: str = field(compare=False)
-    children: tuple["Cotree", ...] = field(default=(), compare=False)
-    leaf_count: int = field(init=False, compare=False, repr=False)
-    form: str = field(init=False, repr=False)
+    __slots__ = ("kind", "children", "leaf_count", "form")
+    _fields = ("kind", "children")
 
-    def __post_init__(self):
-        if self.kind == LEAF:
-            if self.children:
+    def __init__(self, kind: str, children: tuple[Cotree, ...] = ()):
+        if kind == LEAF:
+            if children:
                 raise ValueError("a leaf cannot have children")
-            object.__setattr__(self, "leaf_count", 1)
-            object.__setattr__(self, "form", "L")
-        elif self.kind in (UNION, JOIN):
-            if len(self.children) < 2:
+            self._store(kind, children, 1, "L")
+        elif kind in (UNION, JOIN):
+            if len(children) < 2:
                 raise ArityError(
-                    f"{_LETTER[self.kind]} node needs at least 2 children, "
-                    f"got {len(self.children)}"
+                    f"{_LETTER[kind]} node needs at least 2 children, "
+                    f"got {len(children)}"
                 )
-            object.__setattr__(
-                self, "leaf_count", sum(c.leaf_count for c in self.children)
-            )
-            object.__setattr__(
-                self,
-                "form",
-                _LETTER[self.kind] + "(" + ",".join(c.form for c in self.children) + ")",
-            )
+            form = _LETTER[kind] + "(" + ",".join(c.form for c in children) + ")"
+            self._store(kind, children, sum(c.leaf_count for c in children), form)
         else:
-            raise ValueError(f"unknown cotree node kind {self.kind!r}")
+            raise ValueError(f"unknown cotree node kind {kind!r}")
+
+    def _key(self) -> tuple[str]:
+        return (self.form,)
 
 
 LEAF_TREE = Cotree(LEAF)
@@ -179,7 +171,7 @@ def cotree_to_graph(t: Cotree) -> Graph:
                     adj[v] |= others
 
     visit(t, 0)
-    return Graph(n, tuple(adj))
+    return Graph._make(n, tuple(adj))
 
 
 def graph_to_cotree_with_leaves(g: Graph) -> tuple[Cotree, tuple[int, ...]]:

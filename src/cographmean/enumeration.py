@@ -23,7 +23,6 @@ once in a fixed order:
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import chain, combinations_with_replacement, product
@@ -33,7 +32,7 @@ from typing import Iterator, Union
 # the tracer wraps it in this namespace.
 from .cotree import JOIN, LEAF_TREE, UNION, Cotree, canonicalize, format_cotree
 from .errors import OrderOutOfRange, UnknownFamily
-from .graph import Graph, _component, from_edge_list
+from .graph import Graph, Value, _component, from_edge_list
 
 # The largest order whose full enumeration (``cographmean enumerate cographs
 # N``) was measured to finish within 60 s and 1 GB peak RSS on a 2-core host:
@@ -55,16 +54,15 @@ class Family(str, Enum):
     CATERPILLARS = "caterpillars"
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(Value):
     """A family and an order."""
 
-    family: Family
-    order: int
+    __slots__ = _fields = ("family", "order")
 
-    def __post_init__(self):
-        if self.order < 1:
-            raise OrderOutOfRange(f"order must be >= 1, got {self.order}")
+    def __init__(self, family: Family, order: int):
+        if order < 1:
+            raise OrderOutOfRange(f"order must be >= 1, got {order}")
+        self._store(family, order)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,9 @@ Vertices are the dense integers 0..order-1.  A vertex subset is a plain
 and set algebra is bit algebra.  Graphs are immutable values; every
 operation here is pure.
 
+``Graph(order, adj)`` and the parsers check their input; ``complement`` and
+``induced_subgraph`` build from a valid graph with the unchecked ``Graph._make``.
+
 The interchange format is graph6: an N(n) header byte (or the four-byte
 ``~``-prefixed form for n >= 63) followed by the upper triangle of the
 adjacency matrix in column-major order, packed six bits per printable byte
@@ -13,7 +16,6 @@ at offset 63, zero-padded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -40,32 +42,79 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True)
-class Graph:
+class Value:
+    """Immutable value: ``__slots__`` names what it stores, ``_fields`` its
+    constructor's arguments.  ``__init__`` checks them, then calls ``_store``;
+    ``_make`` stores unchecked, for values valid by construction.  Values are
+    equal when their class and ``_key()`` (by default the fields) are."""
+
+    __slots__ = ()
+
+    def _store(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _make(cls, *values):
+        self = object.__new__(cls)
+        self._store(*values)
+        return self
+
+    def _asdict(self) -> dict:
+        return {name: getattr(self, name) for name in self._fields}
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __reduce__(self):
+        return type(self), tuple(self._asdict().values())
+
+    def replace(self, **changes):
+        """A copy with some constructor arguments changed, checked as a new value."""
+        return type(self)(**(self._asdict() | changes))
+
+
+class Graph(Value):
     """Immutable simple graph; ``adj[v]`` is the neighbor bitmask of v."""
 
-    order: int
-    adj: tuple[int, ...]
+    __slots__ = _fields = ("order", "adj")
 
-    def __post_init__(self):
-        if not 1 <= self.order <= MAX_ORDER:
-            raise OrderOutOfRange(
-                f"graph order must be in 1..{MAX_ORDER}, got {self.order}"
-            )
-        if len(self.adj) != self.order:
+    def __init__(self, order: int, adj: tuple[int, ...]):
+        if not 1 <= order <= MAX_ORDER:
+            raise OrderOutOfRange(f"graph order must be in 1..{MAX_ORDER}, got {order}")
+        if len(adj) != order:
             raise ValueError("adjacency tuple length does not match order")
-        full = (1 << self.order) - 1
-        for v, mask in enumerate(self.adj):
+        full = (1 << order) - 1
+        for v, mask in enumerate(adj):
             if mask >> v & 1:
                 raise LoopEdge(f"vertex {v} is adjacent to itself")
             if mask & ~full:
                 raise VertexOutOfRange(
-                    f"adjacency of vertex {v} sets bits beyond position {self.order - 1}"
+                    f"adjacency of vertex {v} sets bits beyond position {order - 1}"
                 )
-        for v, mask in enumerate(self.adj):
+        for v, mask in enumerate(adj):
             for u in iter_bits(mask):
-                if not self.adj[u] >> v & 1:
+                if not adj[u] >> v & 1:
                     raise ValueError(f"asymmetric adjacency between {v} and {u}")
+        self._store(order, adj)
 
     @property
     def full_mask(self) -> int:
@@ -107,7 +156,7 @@ def from_edge_list(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
 def complement(g: Graph) -> Graph:
     """Edge uv present in the result iff absent in ``g``; an involution."""
     full = g.full_mask
-    return Graph(
+    return Graph._make(
         g.order, tuple(full & ~mask & ~(1 << v) for v, mask in enumerate(g.adj))
     )
 
@@ -168,7 +217,7 @@ def induced_subgraph(g: Graph, subset: VertexSubset) -> Graph:
     for i, v in enumerate(verts):
         for u in iter_bits(g.adj[v] & subset):
             adj[i] |= 1 << index[u]
-    return Graph(len(verts), tuple(adj))
+    return Graph._make(len(verts), tuple(adj))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ this module touches floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -26,7 +25,7 @@ from .errors import (
     VertexOutOfRange,
     ZeroPolynomial,
 )
-from .graph import MAX_ORDER, Graph
+from .graph import MAX_ORDER, Graph, Value
 
 # Orders above this need an explicit cap.  Counting costs time in proportion
 # to the number of connected sets, which can approach 2^n: the complement of
@@ -36,24 +35,26 @@ from .graph import MAX_ORDER, Graph
 DEFAULT_BRUTE_FORCE_CAP = 24
 
 
-@dataclass(frozen=True)
-class SubgraphPolynomial:
-    """Coefficients a_1..a_n of a connected-induced-subgraph polynomial."""
+class SubgraphPolynomial(Value):
+    """Coefficients a_1..a_n of a connected-induced-subgraph polynomial.
 
-    n: int
-    coeffs: tuple[int, ...]
+    The recursions and counters below build theirs with the unchecked ``_make``.
+    """
 
-    def __post_init__(self):
-        if self.n < 1:
+    __slots__ = _fields = ("n", "coeffs")
+
+    def __init__(self, n: int, coeffs: tuple[int, ...]):
+        if n < 1:
             raise ValueError("polynomial order must be at least 1")
-        if len(self.coeffs) != self.n:
+        if len(coeffs) != n:
             raise ValueError("coefficient count does not match order")
-        if any(a < 0 for a in self.coeffs):
+        if any(a < 0 for a in coeffs):
             raise ValueError("coefficients must be nonnegative")
-        if self.coeffs[0] > self.n:
+        if coeffs[0] > n:
             raise ValueError("a_1 cannot exceed the order")
-        if self.coeffs[-1] > 1:
+        if coeffs[-1] > 1:
             raise ValueError("a_n must be 0 or 1")
+        self._store(n, coeffs)
 
     def coefficient(self, k: int) -> int:
         """a_k for 1 <= k <= n (0 outside that range)."""
@@ -106,20 +107,20 @@ def _join_poly(p: SubgraphPolynomial, q: SubgraphPolynomial) -> SubgraphPolynomi
         coeffs[k] += a
     for k, a in enumerate(q.coeffs):
         coeffs[k] += a
-    return SubgraphPolynomial(n, tuple(coeffs))
+    return SubgraphPolynomial._make(n, tuple(coeffs))
 
 
 @lru_cache(maxsize=None)
 def _phi(t: Cotree) -> SubgraphPolynomial:
     if t.kind == LEAF:
-        return SubgraphPolynomial(1, (1,))
+        return SubgraphPolynomial._make(1, (1,))
     parts = [_phi(c) for c in t.children]
     if t.kind == UNION:
         coeffs = [0] * t.leaf_count
         for p in parts:
             for k, a in enumerate(p.coeffs):
                 coeffs[k] += a
-        return SubgraphPolynomial(t.leaf_count, tuple(coeffs))
+        return SubgraphPolynomial._make(t.leaf_count, tuple(coeffs))
     acc = parts[0]
     for p in parts[1:]:
         acc = _join_poly(acc, p)
@@ -151,7 +152,7 @@ def phi_local_cotree(t: Cotree, leaf_index: int) -> SubgraphPolynomial:
 
 def _phi_local(t: Cotree, idx: int) -> SubgraphPolynomial:
     if t.kind == LEAF:
-        return SubgraphPolynomial(1, (1,))
+        return SubgraphPolynomial._make(1, (1,))
     offset = 0
     for child in t.children:
         if idx < offset + child.leaf_count:
@@ -161,12 +162,12 @@ def _phi_local(t: Cotree, idx: int) -> SubgraphPolynomial:
     n = t.leaf_count
     if t.kind == UNION:
         # other components never meet a connected subgraph through this leaf
-        return SubgraphPolynomial(n, inner.coeffs + (0,) * (n - inner.n))
+        return SubgraphPolynomial._make(n, inner.coeffs + (0,) * (n - inner.n))
     s = child.leaf_count
     coeffs = [comb(n - 1, k - 1) - comb(s - 1, k - 1) for k in range(1, n + 1)]
     for k, a in enumerate(inner.coeffs):
         coeffs[k] += a
-    return SubgraphPolynomial(n, tuple(coeffs))
+    return SubgraphPolynomial._make(n, tuple(coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +218,7 @@ def phi_bruteforce(g: Graph, cap: int | None = None) -> SubgraphPolynomial:
     """Polynomial by enumerating every connected set; exact for any graph within cap."""
     n = _check_cap(g, cap)
     counts = _count_connected(g, 0)
-    return SubgraphPolynomial(n, tuple(counts[1:]))
+    return SubgraphPolynomial._make(n, tuple(counts[1:]))
 
 
 def phi_local_bruteforce(g: Graph, v: int, cap: int | None = None) -> SubgraphPolynomial:
@@ -226,7 +227,7 @@ def phi_local_bruteforce(g: Graph, v: int, cap: int | None = None) -> SubgraphPo
     if not 0 <= v < n:
         raise VertexOutOfRange(f"vertex {v} outside 0..{n - 1}")
     counts = _count_connected(g, 1 << v)
-    return SubgraphPolynomial(n, tuple(counts[1:]))
+    return SubgraphPolynomial._make(n, tuple(counts[1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ records what actually happens instead of failing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from math import comb
@@ -46,6 +45,7 @@ from .errors import NoWitnessFound, OrderOutOfRange, RangeError
 from .graph import (
     MAX_ORDER,
     Graph,
+    Value,
     emit_graph6,
     from_edge_list,
     induced_subgraph,
@@ -70,15 +70,16 @@ class Objective(str, Enum):
     GLOBAL_MEAN_MIN = "min"
 
 
-@dataclass(frozen=True)
-class ExtremalReport:
+class ExtremalReport(Value):
     """Outcome of an exact argmax/argmin over one enumerated family."""
 
-    family: str
-    order: int
-    objective: str
-    winners: tuple[tuple[str, Fraction], ...]
-    runner_up_gap: Fraction | None
+    __slots__ = _fields = ("family", "order", "objective", "winners", "runner_up_gap")
+
+    def __init__(
+        self, family: str, order: int, objective: str,
+        winners: tuple[tuple[str, Fraction], ...], runner_up_gap: Fraction | None,
+    ):
+        self._store(family, order, objective, winners, runner_up_gap)
 
     @property
     def is_unique(self) -> bool:
@@ -93,53 +94,44 @@ class ExtremalReport:
         return self.winners[0][1]
 
     def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "order": self.order,
-            "objective": self.objective,
-            "winners": [
-                {"form": form, "mean": str(mean)} for form, mean in self.winners
-            ],
-            "runner_up_gap": None
-            if self.runner_up_gap is None
-            else str(self.runner_up_gap),
+        gap = self.runner_up_gap
+        return self._asdict() | {
+            "winners": [{"form": form, "mean": str(mean)} for form, mean in self.winners],
+            "runner_up_gap": None if gap is None else str(gap),
         }
 
 
-@dataclass(frozen=True)
-class TheoremVerdict:
+class TheoremVerdict(Value):
     """PASS/FAIL outcome of one mechanical check, with a reproducible trail."""
 
-    theorem: str
-    parameter_range: str
-    status: str
-    witness: dict | None = None
-    log: tuple[str, ...] = ()
+    __slots__ = _fields = ("theorem", "parameter_range", "status", "witness", "log")
+
+    def __init__(
+        self, theorem: str, parameter_range: str, status: str,
+        witness: dict | None = None, log: tuple[str, ...] = (),
+    ):
+        self._store(theorem, parameter_range, status, witness, log)
 
     @property
     def passed(self) -> bool:
         return self.status == "PASS"
 
     def to_json_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "parameter_range": self.parameter_range,
-            "status": self.status,
-            "witness": self.witness,
-            "log": list(self.log),
-        }
+        return self._asdict() | {"log": list(self.log)}
 
 
-@dataclass(frozen=True)
-class LocalCounterexample:
+class LocalCounterexample(Value):
     """A graph with a vertex whose local mean falls below the global mean."""
 
-    graph: Graph
-    vertex: int
-    global_mean: Fraction
-    local_mean: Fraction
-    base_tree: Graph
-    base_tree_mean: Fraction
+    __slots__ = _fields = (
+        "graph", "vertex", "global_mean", "local_mean", "base_tree", "base_tree_mean"
+    )
+
+    def __init__(
+        self, graph: Graph, vertex: int, global_mean: Fraction, local_mean: Fraction,
+        base_tree: Graph, base_tree_mean: Fraction,
+    ):
+        self._store(graph, vertex, global_mean, local_mean, base_tree, base_tree_mean)
 
     def to_json_dict(self) -> dict:
         return {
@@ -296,23 +288,29 @@ def _form_and_mean(n: int, report: ExtremalReport) -> str:
     return f"n={n}: {report.winner_form} mean {report.winner_mean}"
 
 
-@dataclass(frozen=True)
-class ExtremalClaim:
+class ExtremalClaim(Value):
     """At every order n in ``lo..n_max``, ``objective`` over ``family`` has
     exactly one winner, printed as ``expected_form(n)``, with mean
     ``expected_mean(n)`` unless that is None.  On cotree families the
     report comes from :func:`knapsack_search`, and the winner's mean is
-    also recomputed from its tree by :func:`~cographmean.poly.phi_cotree`."""
+    also recomputed from its tree by :func:`~cographmean.poly.phi_cotree`.
+    ``range_label`` names the sweep when n_max is outside lo..hi."""
 
-    theorem: str
-    family: Family
-    objective: Objective
-    lo: int
-    hi: int
-    range_label: str  # names the sweep when n_max is outside lo..hi
-    expected_form: Callable[[int], str]
-    expected_mean: Callable[[int], Fraction | None] = lambda n: None
-    log_line: Callable[[int, ExtremalReport], str] = _form_and_mean
+    __slots__ = _fields = (
+        "theorem", "family", "objective", "lo", "hi", "range_label",
+        "expected_form", "expected_mean", "log_line",
+    )
+
+    def __init__(
+        self, theorem: str, family: Family, objective: Objective, lo: int, hi: int,
+        range_label: str, expected_form: Callable[[int], str],
+        expected_mean: Callable[[int], Fraction | None] = lambda n: None,
+        log_line: Callable[[int, ExtremalReport], str] = _form_and_mean,
+    ):
+        self._store(
+            theorem, family, objective, lo, hi, range_label,
+            expected_form, expected_mean, log_line,
+        )
 
 
 def run_claim(claim: ExtremalClaim, n_max: int) -> TheoremVerdict:
@@ -477,11 +475,11 @@ def verify_table2(n_max: int = 7) -> TheoremVerdict:
         return verdict
     grid_mean = global_mean(phi_bruteforce(grid_graph(3, 3)))
     if grid_mean != _GRID_3X3_MEAN:
-        return replace(
-            verdict, status="FAIL", witness={"order": 9, "grid_mean": str(grid_mean)}
+        return verdict.replace(
+            status="FAIL", witness={"order": 9, "grid_mean": str(grid_mean)}
         )
     line = f"n=9: 3x3 grid mean {grid_mean} (pinned value, maximality unverified)"
-    return replace(verdict, log=verdict.log + (line,))
+    return verdict.replace(log=verdict.log + (line,))
 
 
 def verify_path_min_conjecture(n_max: int = 7) -> TheoremVerdict:
@@ -494,15 +492,17 @@ def verify_path_min_conjecture(n_max: int = 7) -> TheoremVerdict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Sweep:
+class Sweep(Value):
     """A statement checked over a parameter range.  ``rows(n_max)`` yields a
     dict for each failure and a string for each log line; ``range_label`` is
     a format string that takes ``n_max``."""
 
-    theorem: str
-    range_label: str
-    rows: Callable[[int], Iterator[dict | str]]
+    __slots__ = _fields = ("theorem", "range_label", "rows")
+
+    def __init__(
+        self, theorem: str, range_label: str, rows: Callable[[int], Iterator[dict | str]]
+    ):
+        self._store(theorem, range_label, rows)
 
 
 def run_sweep(sweep: Sweep, n_max: int) -> TheoremVerdict:

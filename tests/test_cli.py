@@ -381,7 +381,7 @@ def test_closed_stdout_exits_141_without_traceback(tmp_path):
 
 def _fresh_cli(*argv: str) -> tuple[subprocess.CompletedProcess, set[str]]:
     """Run ``python -m cographmean.cli ARGV`` in a new process with
-    ``-X importtime``, and return it with the package modules it imported."""
+    ``-X importtime``, and return it with every module it imported."""
     env = dict(os.environ, PYTHONPATH=str(Path(cographmean.__file__).parents[1]))
     done = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "cographmean.cli", *argv],
@@ -392,7 +392,16 @@ def _fresh_cli(*argv: str) -> tuple[subprocess.CompletedProcess, set[str]]:
         for line in done.stderr.splitlines()
         if line.startswith("import time:")
     }
-    return done, {m for m in imported if m.split(".")[0] == "cographmean"}
+    return done, imported
+
+
+def _package_modules(imported: set[str]) -> set[str]:
+    return {m for m in imported if m.split(".")[0] == "cographmean"}
+
+
+# The value types are plain slotted classes: no command loads ``dataclasses``,
+# which would pull in ``inspect`` and, with it, ``ast``, ``dis`` and ``tokenize``.
+_UNUSED_STDLIB = {"dataclasses", "inspect"}
 
 
 @pytest.mark.parametrize(
@@ -407,8 +416,9 @@ def test_mean_and_reliability_load_only_the_counting_modules(argv, expected):
     done, imported = _fresh_cli(*argv)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[0] == expected
+    assert not _UNUSED_STDLIB & imported
     # cli itself runs as __main__
-    assert imported == {
+    assert _package_modules(imported) == {
         "cographmean",
         "cographmean.cotree",
         # the enumerate parser takes its choices from Family
@@ -423,6 +433,7 @@ def test_fresh_verify_and_enumerate_print_what_they_printed_before():
     done, imported = _fresh_cli("verify", "table1")
     assert done.returncode == 0, done.stderr
     assert {"cographmean.verify", "cographmean.knapsack"} <= imported
+    assert not _UNUSED_STDLIB & imported
     digest = hashlib.sha256(done.stdout.encode()).hexdigest()
     assert digest == VERIFY_STDOUT_SHA256["table1"]
     done, _ = _fresh_cli("enumerate", "cographs", "5")

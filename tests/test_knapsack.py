@@ -4,7 +4,6 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -81,8 +80,8 @@ def test_tables_rank_and_rebuild_like_enumeration():
     [(TABLE1, 6), (STAR_MAX, 10), (SKILLET_MIN, 10), (DISCONNECTED_MAX, 9)],
 )
 def test_wrong_expected_form_fails_alike_on_both_paths(monkeypatch, claim, n_max):
-    wrong = replace(
-        claim, expected_form=lambda n: "L" if n == n_max else claim.expected_form(n)
+    wrong = claim.replace(
+        expected_form=lambda n: "L" if n == n_max else claim.expected_form(n)
     )
     by_knapsack = run_claim(wrong, n_max).to_json_dict()
     monkeypatch.setattr(verify_module, "knapsack_search", extremal_search)

@@ -1,0 +1,227 @@
+"""Value semantics of the package's immutable types.
+
+Equality, hashing, ``repr``, immutability, and copy/pickle round trips are
+pinned here for every public value type, independent of how the classes
+are implemented.  The producers that build values without the
+constructor's checks are cross-checked against the public constructor.
+"""
+
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from conftest import random_cotree
+
+from cographmean.cotree import (
+    JOIN,
+    LEAF,
+    LEAF_TREE,
+    UNION,
+    Cotree,
+    cotree_to_graph,
+    parse_cotree,
+)
+from cographmean.enumeration import Family, GeneratorSpec
+from cographmean.graph import (
+    Graph,
+    complement,
+    from_edge_list,
+    induced_subgraph,
+    parse_graph6,
+)
+from cographmean.poly import (
+    SubgraphPolynomial,
+    phi_bruteforce,
+    phi_cotree,
+    phi_local_bruteforce,
+    phi_local_cotree,
+)
+from cographmean.verify import ExtremalReport, LocalCounterexample, TheoremVerdict
+
+
+def _report(mean: Fraction = Fraction(7, 3)) -> ExtremalReport:
+    return ExtremalReport("cographs", 4, "max", (("J(L,L)", mean),), None)
+
+
+def _counterexample(vertex: int = 0) -> LocalCounterexample:
+    return LocalCounterexample(
+        Graph(2, (2, 1)), vertex, Fraction(4, 3), Fraction(3, 2), Graph(1, (0,)), Fraction(1)
+    )
+
+
+# name -> (build a value, build an equal one independently, an unequal one, repr)
+CASES = {
+    "Graph": (
+        lambda: Graph(3, (2, 5, 2)),
+        lambda: parse_graph6("Bg"),
+        Graph(3, (6, 5, 3)),
+        "Graph(order=3, adj=(2, 5, 2))",
+    ),
+    "Cotree": (
+        lambda: Cotree(JOIN, (LEAF_TREE, Cotree(UNION, (LEAF_TREE, LEAF_TREE)))),
+        lambda: parse_cotree("J(U(L,L),L)"),
+        # the same cograph, printed in another child order
+        Cotree(JOIN, (Cotree(UNION, (LEAF_TREE, LEAF_TREE)), LEAF_TREE)),
+        "Cotree(kind='join', children=(Cotree(kind='leaf', children=()), "
+        "Cotree(kind='union', children=(Cotree(kind='leaf', children=()), "
+        "Cotree(kind='leaf', children=())))))",
+    ),
+    "SubgraphPolynomial": (
+        lambda: SubgraphPolynomial(3, (3, 2, 1)),
+        lambda: SubgraphPolynomial.from_json_dict({"n": 3, "coeffs": ["3", "2", "1"]}),
+        SubgraphPolynomial(3, (3, 3, 1)),
+        "SubgraphPolynomial(n=3, coeffs=(3, 2, 1))",
+    ),
+    "GeneratorSpec": (
+        lambda: GeneratorSpec(Family.COGRAPHS, 4),
+        lambda: GeneratorSpec(Family("cographs"), 4),
+        GeneratorSpec(Family.COGRAPHS, 5),
+        "GeneratorSpec(family=<Family.COGRAPHS: 'cographs'>, order=4)",
+    ),
+    "TheoremVerdict": (
+        lambda: TheoremVerdict("t", "n=1..3", "FAIL", None, ("a", "b")),
+        lambda: TheoremVerdict(
+            theorem="t", parameter_range="n=1..3", status="FAIL", log=("a", "b")
+        ),
+        TheoremVerdict("t", "n=1..3", "PASS", None, ("a", "b")),
+        "TheoremVerdict(theorem='t', parameter_range='n=1..3', status='FAIL', "
+        "witness=None, log=('a', 'b'))",
+    ),
+    "ExtremalReport": (
+        _report,
+        lambda: _report(Fraction(14, 6)),
+        _report(Fraction(5, 2)),
+        "ExtremalReport(family='cographs', order=4, objective='max', "
+        "winners=(('J(L,L)', Fraction(7, 3)),), runner_up_gap=None)",
+    ),
+    "LocalCounterexample": (
+        _counterexample,
+        _counterexample,
+        _counterexample(1),
+        "LocalCounterexample(graph=Graph(order=2, adj=(2, 1)), vertex=0, "
+        "global_mean=Fraction(4, 3), local_mean=Fraction(3, 2), "
+        "base_tree=Graph(order=1, adj=(0,)), base_tree_mean=Fraction(1, 1))",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_equality_and_hash(name):
+    build, build_again, other, _ = CASES[name]
+    value, again = build(), build_again()
+    assert value is not again
+    assert value == again and not value != again
+    assert hash(value) == hash(again)
+    assert value != other
+    assert len({value, again, other}) == 2
+
+
+def test_values_of_different_classes_are_never_equal():
+    # the same field values in two classes
+    g, p = Graph(1, (0,)), SubgraphPolynomial(1, (0,))
+    assert (g.order, g.adj) == (p.n, p.coeffs)
+    assert g != p and p != g
+    assert g != (1, (0,)) and p != (1, (0,))
+    assert TheoremVerdict("t", "r", "PASS") != ("t", "r", "PASS", None, ())
+
+
+def test_cotree_compares_by_printed_form_only():
+    leaf = Cotree(LEAF)
+    assert leaf == LEAF_TREE and hash(leaf) == hash(LEAF_TREE)
+    shared = Cotree(UNION, (LEAF_TREE,) * 3)
+    fresh = Cotree(UNION, (Cotree(LEAF), Cotree(LEAF), Cotree(LEAF)))
+    assert shared == fresh and hash(shared) == hash(fresh)
+    # isomorphic, but printed differently
+    a = Cotree(UNION, (LEAF_TREE, Cotree(JOIN, (LEAF_TREE, LEAF_TREE))))
+    b = Cotree(UNION, (Cotree(JOIN, (LEAF_TREE, LEAF_TREE)), LEAF_TREE))
+    assert a.form == "U(L,J(L,L))" and b.form == "U(J(L,L),L)"
+    assert a != b
+
+
+def test_a_verdict_with_a_dict_witness_is_not_hashable():
+    verdict = TheoremVerdict("t", "r", "FAIL", {"n": 3})
+    assert verdict == TheoremVerdict("t", "r", "FAIL", {"n": 3})
+    with pytest.raises(TypeError):
+        hash(verdict)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_repr(name):
+    build, _, _, text = CASES[name]
+    assert repr(build()) == text
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_assignment_and_deletion_raise(name):
+    value = CASES[name][0]()
+    before = repr(value)
+    field = before[before.index("(") + 1 : before.index("=")]
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert repr(value) == before
+
+
+@pytest.mark.parametrize("name", CASES)
+@pytest.mark.parametrize(
+    "round_trip",
+    [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_copy_and_pickle_round_trips(name, round_trip):
+    value = CASES[name][0]()
+    twin = round_trip(value)
+    assert type(twin) is type(value)
+    assert twin == value and hash(twin) == hash(value)
+    assert repr(twin) == repr(value)
+    if isinstance(value, Cotree):
+        assert (twin.form, twin.leaf_count) == (value.form, value.leaf_count)
+
+
+# ---------------------------------------------------------------------------
+# values the package builds without the constructor's checks
+# ---------------------------------------------------------------------------
+
+
+def _assert_valid_graph(g: Graph) -> None:
+    assert type(g.adj) is tuple
+    assert Graph(g.order, g.adj) == g
+
+
+def _assert_valid_poly(p: SubgraphPolynomial) -> None:
+    assert type(p.coeffs) is tuple
+    assert SubgraphPolynomial(p.n, p.coeffs) == p
+
+
+def test_unchecked_graphs_pass_the_public_constructor(rng):
+    for _ in range(60):
+        n = rng.randint(1, 12)
+        g = from_edge_list(
+            n, [(u, v) for u in range(n) for v in range(u) if rng.random() < 0.4]
+        )
+        _assert_valid_graph(complement(g))
+        _assert_valid_graph(induced_subgraph(g, rng.randint(1, (1 << n) - 1)))
+        _assert_valid_graph(cotree_to_graph(random_cotree(rng, n)))
+
+
+def test_unchecked_polynomials_pass_the_public_constructor(rng):
+    for _ in range(60):
+        n = rng.randint(1, 12)
+        t = random_cotree(rng, n)
+        g = cotree_to_graph(t)
+        leaf = rng.randrange(n)
+        # the cotree recursions (the join step included) and both counters
+        for p in (
+            phi_cotree(t),
+            phi_local_cotree(t, leaf),
+            phi_bruteforce(g),
+            phi_local_bruteforce(g, leaf),
+        ):
+            _assert_valid_poly(p)
+        assert phi_cotree(t) == phi_bruteforce(g)
+        assert phi_local_cotree(t, leaf) == phi_local_bruteforce(g, leaf)

@@ -1,7 +1,6 @@
 """Extremal searches, verdicts, sweeps, and the counterexample machinery."""
 
 import json
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -329,7 +328,7 @@ def test_tied_winner_fails_at_its_order(monkeypatch, capsys, suite, check, n_max
     def add_tie(spec, report):
         if spec.order != n_max:
             return report
-        tied = replace(report, winners=report.winners + (("tie", report.winner_mean),))
+        tied = report.replace(winners=report.winners + (("tie", report.winner_mean),))
         tied_reports.append(tied)
         return tied
 
@@ -352,7 +351,7 @@ def test_disconnected_max_checks_closed_form_mean_from_order_8(monkeypatch):
 
     def add_one_to_mean(spec, report):
         ((form, mean),) = report.winners
-        return replace(report, winners=((form, mean + 1),))
+        return report.replace(winners=((form, mean + 1),))
 
     patch_searches(monkeypatch, add_one_to_mean)
     monkeypatch.setattr(verify_module, "_recheck_by_phi_cotree", lambda report: True)
