@@ -23,10 +23,10 @@ once in a fixed order:
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator
 from enum import Enum
 from functools import lru_cache
 from itertools import chain, combinations_with_replacement, product
-from typing import Iterator, Union
 
 # canonicalize is no longer called here; bench/selfcheck.py still checks that
 # the tracer wraps it in this namespace.
@@ -362,7 +362,7 @@ _COTREE_FILTER = {
 }
 
 
-def generate(spec: GeneratorSpec) -> Iterator[Union[Cotree, Graph]]:
+def generate(spec: GeneratorSpec) -> Iterator[Cotree | Graph]:
     """Stream the family named by ``spec``, every class once, in a fixed order."""
     family = Family(spec.family)
     if family is Family.CONNECTED_GRAPHS:

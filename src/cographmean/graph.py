@@ -16,7 +16,7 @@ at offset 63, zero-padded.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .errors import (
     EmptySubset,

@@ -147,27 +147,37 @@ def phi_local_cotree(t: Cotree, leaf_index: int) -> SubgraphPolynomial:
         raise LeafOutOfRange(
             f"leaf index {leaf_index} outside 0..{t.leaf_count - 1}"
         )
-    return _phi_local(t, leaf_index)
+    return _phi_local_leaves(t)[leaf_index]
 
 
-def _phi_local(t: Cotree, idx: int) -> SubgraphPolynomial:
-    if t.kind == LEAF:
-        return SubgraphPolynomial._make(1, (1,))
-    offset = 0
-    for child in t.children:
-        if idx < offset + child.leaf_count:
-            break
-        offset += child.leaf_count
-    inner = _phi_local(child, idx - offset)
+@lru_cache(maxsize=None)
+def _local_row(m: int, s: int) -> tuple[int, ...]:
+    """Coefficients a_1..a_m of x[(1+x)^{m-1} - (1+x)^{s-1}]; one row per s < m."""
+    return tuple(comb(m - 1, k) - comb(s - 1, k) for k in range(m))
+
+
+def _phi_local_leaves(t: Cotree) -> list[SubgraphPolynomial]:
+    """Every leaf's local polynomial, in leaf order, from one top-down pass.
+
+    Each leaf gets x plus one row per Join ancestor (see ``phi_local_cotree``);
+    a Union only pads, as other components never meet a connected subgraph
+    through the leaf.
+    """
     n = t.leaf_count
-    if t.kind == UNION:
-        # other components never meet a connected subgraph through this leaf
-        return SubgraphPolynomial._make(n, inner.coeffs + (0,) * (n - inner.n))
-    s = child.leaf_count
-    coeffs = [comb(n - 1, k - 1) - comb(s - 1, k - 1) for k in range(1, n + 1)]
-    for k, a in enumerate(inner.coeffs):
-        coeffs[k] += a
-    return SubgraphPolynomial._make(n, tuple(coeffs))
+    out = []
+
+    def visit(node: Cotree, acc: list[int]) -> None:
+        if node.kind == LEAF:
+            out.append(SubgraphPolynomial._make(n, tuple(acc)))
+            return
+        m = node.leaf_count
+        for child in node.children:
+            visit(child, acc if node.kind == UNION else [
+                a + r for a, r in zip(acc, _local_row(m, child.leaf_count))
+            ] + acc[m:])
+
+    visit(t, [1] + [0] * (n - 1))
+    return out
 
 
 # ---------------------------------------------------------------------------

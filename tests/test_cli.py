@@ -193,7 +193,8 @@ def test_usage_error_exit_code():
 # The stdout of these runs, byte for byte, as captured before the verdict
 # loops were folded into one claim runner and one sweep runner, and (table2
 # and path-conjecture at their default order 7) before graph classes were
-# deduplicated by a cell-restricted code.
+# deduplicated by a cell-restricted code; `local-mean --nmax 9`, the top of
+# the structural range, before the local sweeps took every leaf from one pass.
 VERIFY_STDOUT_SHA256 = {
     "table1": "618395a1e1ee739a27ee869426d238050548b0ba6d114a3d87682335045515c9",
     "star-max --nmax 8": "7f7e93ea01338db61af7d2128f0dd1d1c9b6a4caa3835690f4b22904a5506de3",
@@ -203,6 +204,7 @@ VERIFY_STDOUT_SHA256 = {
     "path-conjecture --nmax 6": "b340c46124609738dbea24b52cea2b3f7bde7b8c8e45e15b51a2bd8ef9c164eb",
     "inequalities --nmax 16": "7301d1df1689ef59e86b252118bee09ebd3c1731dea89f0c4bc5790657d5fe74",
     "local-mean": "2e30a1b01a301279f1fd2364dbb2325792c519f6b7f608a715072da803b7438f",
+    "local-mean --nmax 9": "e5257b4526b3c9e7a201b522fc8c63c361aeb24ca4fc37cf937b7be64b2dec76",
     "inequalities": "a4292244fad07dbb11dba0a5ded66f755eae0dc789aad8924d89244ccc66dd2b",
     "table2": "04be505c75f50a3db6db3c8551765dffde461a558f241971cc310b2c89e10eea",
     "path-conjecture": "c413cf5cf858ccc9db47456a567ec23d900b69628957dabaf891daafd6fc2cf5",

@@ -1,0 +1,165 @@
+"""The per-vertex structural sweeps against the enumerative rows they replace.
+
+``verify`` takes every leaf's local polynomial from one pass per cotree,
+decides the local floor and dominance on integers, and reads 2-connectivity
+and the surplus off the cotree.  The generators below are those sweeps as
+first written: one ``Fraction`` per (tree, leaf) from ``phi_local_cotree``,
+and ``phi_bruteforce`` on each G - v.  They are the oracle.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from cographmean import (
+    complete,
+    cotree_to_graph,
+    format_cotree,
+    global_mean,
+    induced_subgraph,
+    is_connected,
+    phi_bruteforce,
+    phi_cotree,
+    phi_local_cotree,
+)
+from cographmean import verify as verify_module
+from cographmean.enumeration import enumerate_cotrees
+from cographmean.poly import SubgraphPolynomial, _phi_local_leaves
+
+
+def fraction_floor_rows(n_max, local=phi_local_cotree):
+    equality_hits = 0
+    for n in range(1, n_max + 1):
+        floor = Fraction(n + 1, 2)
+        for t in enumerate_cotrees(n, "connected"):
+            for leaf in range(n):
+                value = global_mean(local(t, leaf))
+                if value < floor:
+                    yield {"n": n, "form": format_cotree(t), "vertex": leaf,
+                           "local_mean": str(value)}
+                elif value == floor and n >= 2:
+                    equality_hits += 1
+    if equality_hits == 0:
+        yield {"clause": "no equality witness observed"}
+    yield f"equality witnesses (n>=2): {equality_hits}"
+
+
+def fraction_dominates_rows(n_max, local=phi_local_cotree):
+    for n in range(1, n_max + 1):
+        for t in enumerate_cotrees(n, "connected"):
+            g_mean = global_mean(phi_cotree(t))
+            for leaf in range(n):
+                value = global_mean(local(t, leaf))
+                if value < g_mean or (value == g_mean and n >= 2):
+                    yield {"n": n, "form": format_cotree(t), "vertex": leaf,
+                           "local_mean": str(value), "global_mean": str(g_mean)}
+
+
+def bruteforce_surplus_rows(n_max):
+    checked = 0
+    for n in range(4, n_max + 1):
+        for t in enumerate_cotrees(n, "connected"):
+            g = cotree_to_graph(t)
+            full = g.full_mask
+            if any(
+                not is_connected(induced_subgraph(g, full & ~(1 << v)))
+                for v in range(n)
+            ):
+                continue
+            checked += 1
+            if not any(
+                phi_local_cotree(t, v).value_at_one()
+                > phi_bruteforce(induced_subgraph(g, full & ~(1 << v))).value_at_one()
+                for v in range(n)
+            ):
+                yield {"n": n, "form": format_cotree(t)}
+    yield f"2-connected cographs checked: {checked}"
+
+
+INTEGER_AND_FRACTION_ROWS = [
+    (verify_module._local_floor_rows, fraction_floor_rows),
+    (verify_module._local_dominates_rows, fraction_dominates_rows),
+]
+
+
+@pytest.mark.parametrize("fast, oracle", INTEGER_AND_FRACTION_ROWS)
+def test_integer_rows_equal_fraction_rows(fast, oracle):
+    for n_max in (1, 2, 5, 9):
+        assert list(fast(n_max)) == list(oracle(n_max))
+
+
+def perturbed(t, leaf, p):
+    """``p``, or with a fixed chance a polynomial below the floor, on it, or
+    with the global mean; chosen from the tree and leaf alone."""
+    n = t.leaf_count
+    pick = random.Random(f"{format_cotree(t)}/{leaf}").randrange(5)
+    if pick == 1:
+        return SubgraphPolynomial._make(n, (1,) + (0,) * (n - 1))
+    if pick == 2:
+        return phi_local_cotree(complete(n), 0)  # mean (n+1)/2
+    if pick == 3:
+        return phi_cotree(t)
+    return p
+
+
+@pytest.mark.parametrize("fast, oracle", INTEGER_AND_FRACTION_ROWS)
+def test_integer_rows_equal_fraction_rows_when_the_sweeps_fail(monkeypatch, fast, oracle):
+    real_leaves = verify_module._phi_local_leaves
+    monkeypatch.setattr(
+        verify_module,
+        "_phi_local_leaves",
+        lambda t: [perturbed(t, leaf, p) for leaf, p in enumerate(real_leaves(t))],
+    )
+    expected = list(oracle(7, lambda t, leaf: perturbed(t, leaf, phi_local_cotree(t, leaf))))
+    assert sum(isinstance(row, dict) for row in expected) > 100
+    assert list(fast(7)) == expected
+
+
+def test_surplus_rows_equal_bruteforce_rows():
+    for n_max in (4, 6, 9):
+        assert list(verify_module._biconnected_surplus_rows(n_max)) == list(
+            bruteforce_surplus_rows(n_max)
+        )
+
+
+def test_cut_leaf_is_the_only_vertex_whose_removal_disconnects():
+    for n in range(2, 10):
+        for t in enumerate_cotrees(n, "connected"):
+            g = cotree_to_graph(t)
+            cut = verify_module._cut_leaf(t)
+            for v in range(n):
+                rest = induced_subgraph(g, g.full_mask & ~(1 << v))
+                assert is_connected(rest) == (v != cut), (format_cotree(t), v)
+
+
+def test_deleting_a_vertex_loses_exactly_its_local_count():
+    for n in range(2, 9):
+        for t in enumerate_cotrees(n):
+            g = cotree_to_graph(t)
+            total = phi_cotree(t).value_at_one()
+            for v, local in enumerate(_phi_local_leaves(t)):
+                rest = induced_subgraph(g, g.full_mask & ~(1 << v))
+                assert total - local.value_at_one() == phi_bruteforce(rest).value_at_one()
+
+
+def test_surplus_means_more_than_half_the_connected_sets(monkeypatch):
+    # With a local count of exactly half, deleting the vertex leaves as many
+    # connected sets as it holds: no surplus.
+    t = next(
+        t for t in enumerate_cotrees(5, "connected")
+        if verify_module._cut_leaf(t) is None and phi_cotree(t).value_at_one() % 2 == 0
+    )
+    half = phi_cotree(t).value_at_one() // 2
+    real_leaves = verify_module._phi_local_leaves
+
+    def half_at_every_leaf(tree):
+        if tree != t:
+            return real_leaves(tree)
+        return [SubgraphPolynomial._make(5, (1, half - 1, 0, 0, 0))] * 5
+
+    monkeypatch.setattr(verify_module, "_phi_local_leaves", half_at_every_leaf)
+    rows = list(verify_module._biconnected_surplus_rows(6))
+    assert [row for row in rows if isinstance(row, dict)] == [
+        {"n": 5, "form": format_cotree(t)}
+    ]

@@ -33,6 +33,7 @@ from cographmean.errors import (
     VertexOutOfRange,
     ZeroPolynomial,
 )
+from cographmean.poly import _phi_local_leaves
 
 
 def test_polynomial_invariants():
@@ -109,16 +110,14 @@ def test_local_errors():
 
 
 def test_local_cotree_matches_bruteforce_at_every_leaf(rng):
-    for n in range(1, 7):
-        for t in enumerate_cotrees(n):
-            g = cotree_to_graph(t)
-            for v in range(n):
-                assert phi_local_cotree(t, v) == phi_local_bruteforce(g, v)
-    for _ in range(10):
-        t = random_cotree(rng, 9)
+    # the one pass gives every leaf at once; phi_local_cotree reads one entry
+    trees = [t for n in range(1, 9) for t in enumerate_cotrees(n)]
+    trees += [random_cotree(rng, n) for n in range(9, 13) for _ in range(5)]
+    for t in trees:
         g = cotree_to_graph(t)
-        for v in range(9):
-            assert phi_local_cotree(t, v) == phi_local_bruteforce(g, v)
+        expected = [phi_local_bruteforce(g, v) for v in range(t.leaf_count)]
+        assert _phi_local_leaves(t) == expected
+        assert [phi_local_cotree(t, v) for v in range(t.leaf_count)] == expected
 
 
 def _handshake_holds(g) -> bool:

@@ -225,15 +225,16 @@ def test_inequality_sweep_failure_keeps_rows_and_log(monkeypatch, capsys):
 
 def test_structural_sweep_failure_keeps_rows_and_log(monkeypatch, capsys):
     passing = {v.theorem: v for v in verify_structural_theorems(4)}
-    real_local = verify_module.phi_local_cotree
+    real_leaves = verify_module._phi_local_leaves
     star4 = format_cotree(star(4))
 
-    def local_with_bare_leaf(t, leaf):
-        if format_cotree(t) == star4 and leaf == 1:
-            return SubgraphPolynomial(4, (1, 0, 0, 0))  # local mean 1
-        return real_local(t, leaf)
+    def leaves_with_bare_leaf(t):
+        polys = real_leaves(t)
+        if format_cotree(t) == star4:
+            polys[1] = SubgraphPolynomial(4, (1, 0, 0, 0))  # local mean 1
+        return polys
 
-    monkeypatch.setattr(verify_module, "phi_local_cotree", local_with_bare_leaf)
+    monkeypatch.setattr(verify_module, "_phi_local_leaves", leaves_with_bare_leaf)
     verdicts = {v.theorem: v for v in verify_structural_theorems(4)}
     assert {name for name, v in verdicts.items() if not v.passed} == {
         "local-mean-at-least-half-order-plus",
