@@ -168,6 +168,16 @@ def _cells(n: int, adj: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(c for c in cells for _ in range(c.bit_count()))
 
 
+def _lower_twins(adj: tuple[int, ...]) -> list[int]:
+    """For each vertex, the mask of its lower-labelled twins: the vertices
+    whose neighbourhood equals its own apart from each other.  Swapping two
+    twins is an automorphism."""
+    return [
+        sum(1 << u for u in range(v) if adj[u] & ~(1 << v) == adj[v] & ~(1 << u))
+        for v in range(len(adj))
+    ]
+
+
 def _min_code(n: int, adj: tuple[int, ...], cell_of: tuple[int, ...] | None = None) -> int:
     """Lexicographically minimal triangle code over all vertex permutations.
 
@@ -187,14 +197,9 @@ def _min_code(n: int, adj: tuple[int, ...], cell_of: tuple[int, ...] | None = No
         return 0
     if cell_of is None:
         cell_of = ((1 << n) - 1,) * n
-    # Twins (equal neighbourhoods apart from each other) can trade places
-    # without changing the code, so each set of twins is placed in label
-    # order: a vertex waits until its lower-labelled twins are placed.
-    waits_for = [0] * n
-    for v in range(n):
-        for u in range(v):
-            if adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
-                waits_for[v] |= 1 << u
+    # Twins can trade places without changing the code, so each set of twins
+    # is placed in label order: a vertex waits until its lower twins are placed.
+    waits_for = _lower_twins(adj)
     frontier = {
         (1 << v, tuple(0 if x == v else a >> v & 1 for x, a in enumerate(adj))): None
         for v in range(n)
@@ -240,44 +245,62 @@ def canonical_graph(g: Graph) -> Graph:
     return Graph(g.order, _code_to_adj(g.order, _min_code(g.order, g.adj)))
 
 
+def _max_degree_extensions(
+    order: int,
+) -> Iterator[tuple[tuple[int, ...], int, tuple[int, ...]]]:
+    """``(base, nbrs, adj)`` for each way to add a vertex of maximum degree,
+    with neighbours ``nbrs``, to a class representative ``base`` of order
+    ``order - 1``; ``adj`` is the extension, the new vertex last.
+
+    Every class of the given order arises, some more than once: deleting a
+    vertex of maximum degree leaves some class, and adding the vertex back
+    to its representative is an extension, up to a swap of the base's twins.
+    Such a swap fixes the base, so of the neighbour sets that swaps relate
+    only the least is tried: the one that takes twins lowest label first.
+    """
+    if order == 1:
+        yield (), 0, (0,)
+        return
+    new = order - 1  # the added vertex
+    for base in _graph_classes(new):
+        top = max(a.bit_count() for a in base)
+        at_top = sum(1 << v for v, a in enumerate(base) if a.bit_count() == top)
+        twins = [(1 << v, lower) for v, lower in enumerate(_lower_twins(base)) if lower]
+        for nbrs in range(1 << new):
+            # With fewer than ``top`` neighbours, or with ``top`` and one of
+            # them of degree ``top``, the new vertex is not of maximum degree.
+            size = nbrs.bit_count()
+            if size < top or size == top and nbrs & at_top:
+                continue
+            if any(nbrs & bit and lower & ~nbrs for bit, lower in twins):
+                continue
+            adj = tuple(
+                base[v] | (nbrs >> v & 1) << new for v in range(new)
+            ) + (nbrs,)
+            yield base, nbrs, adj
+
+
 @lru_cache(maxsize=None)
 def _graph_classes(order: int) -> tuple[tuple[int, ...], ...]:
     """One adjacency tuple per isomorphism class of the given order, in
     build order.
 
-    Every class of order n arises by adding a vertex to a class of order
-    n-1.  An extension is kept only when the new vertex lies in the last
-    cell of :func:`_cells` (McKay 1998, "Isomorph-free exhaustive
-    generation", J. Algorithms 26).  That cell does not depend on labels,
-    so every class still arises: deleting any vertex of its last cell
-    leaves some class of order n-1, and adding that vertex back to the
-    class's representative is one of the extensions tried.  The last cell
-    holds only vertices of maximum degree, so most extensions are dropped
-    on degrees before any refinement.  The kept extensions are
-    deduplicated on the cheap cell-restricted code, and the first one of
-    each class represents it.  A representative need not be canonical:
+    Of the extensions of :func:`_max_degree_extensions`, one is kept only
+    when the new vertex lies in the last cell of :func:`_cells` (McKay 1998,
+    "Isomorph-free exhaustive generation", J. Algorithms 26).  That cell
+    does not depend on labels and holds only vertices of maximum degree, so
+    every class still arises, from any vertex of its last cell.  The kept
+    extensions are deduplicated on the cheap cell-restricted code, and the
+    first one of each class represents it; a twin swap only ever skips a
+    later one.  A representative need not be canonical:
     :func:`canonical_graph` gives the printed form.
     """
-    if order == 1:
-        return ((0,),)
-    new = order - 1  # the added vertex
+    new = order - 1
     seen: dict[int, tuple[int, ...]] = {}
-    for base in _graph_classes(new):
-        top = max(a.bit_count() for a in base)
-        at_top = sum(1 << v for v, a in enumerate(base) if a.bit_count() == top)
-        for nbrs in range(1 << new):
-            # Only vertices of maximum degree reach the last cell.  With
-            # fewer than ``top`` neighbours, or with ``top`` and one of
-            # them of degree ``top``, the new vertex is not among them.
-            size = nbrs.bit_count()
-            if size < top or size == top and nbrs & at_top:
-                continue
-            adj = tuple(
-                base[v] | (nbrs >> v & 1) << new for v in range(new)
-            ) + (nbrs,)
-            cell_of = _cells(order, adj)
-            if cell_of[-1] >> new & 1:
-                seen.setdefault(_min_code(order, adj, cell_of), adj)
+    for _, _, adj in _max_degree_extensions(order):
+        cell_of = _cells(order, adj)
+        if cell_of[-1] >> new & 1:
+            seen.setdefault(_min_code(order, adj, cell_of), adj)
     return tuple(seen.values())
 
 
@@ -294,7 +317,7 @@ def enumerate_connected_graphs(order: int) -> Iterator[Graph]:
     full = (1 << order) - 1
     for adj in _graph_classes(order):
         if _component(adj, full, 1) == full:
-            yield Graph(order, adj)
+            yield Graph._make(order, adj)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
 """Extremal searches and mechanical checks of the library's headline facts.
 
 Every check here is exact: means are compared as rationals, never within a
-tolerance.  Searches cover whole isomorphism-class families: graph families
-by enumerating them, cotree families by the exact fractional knapsack of
-:mod:`cographmean.knapsack`, which never lists them.  Both report all tied
-winners and treat every uniqueness claim as an assertion to test, not an
-assumption.  Inequality sweeps use closed forms so they reach orders far
-past enumeration range; below each inequality's stated threshold the sweep
-records what actually happens instead of failing.
+tolerance.  Searches cover whole isomorphism-class families: connected
+graphs by scoring the one-vertex extensions of the classes one order down,
+without deduplicating them (:func:`graph_search`), cotree families by the
+exact fractional knapsack of :mod:`cographmean.knapsack`, which never lists
+them.  :func:`extremal_search`, which scores each enumerated class once, is
+kept as their test oracle.  All report all tied winners and treat every
+uniqueness claim as an assertion to test, not an assumption.  Inequality
+sweeps use closed forms so they reach orders far past enumeration range;
+below each inequality's stated threshold the sweep records what actually
+happens instead of failing.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .enumeration import (
     _COTREE_FILTER,
     Family,
     GeneratorSpec,
+    _max_degree_extensions,
     canonical_graph,
     enumerate_caterpillars,
     enumerate_cotrees,
@@ -48,12 +52,16 @@ from .graph import (
     MAX_ORDER,
     Graph,
     Value,
+    connected_components,
     emit_graph6,
     from_edge_list,
+    iter_bits,
 )
 from .knapsack import extremal_cotrees
 from .poly import (
     MeanFamily,
+    SubgraphPolynomial,
+    _count_connected,
     _phi_local_leaves,
     closed_form_means,
     closed_form_psi,
@@ -273,6 +281,73 @@ def knapsack_search(spec: GeneratorSpec, objective: Objective) -> ExtremalReport
     )
 
 
+def _value_and_derivative(counts: list[int]) -> tuple[int, int]:
+    """Phi(1) and Phi'(1) from connected-set counts indexed by size."""
+    return sum(counts), sum(k * a for k, a in enumerate(counts))
+
+
+def _scored_extensions(order: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """``(adj, V, D)`` for each connected extension of
+    :func:`~cographmean.enumeration._max_degree_extensions`, with V and D
+    its polynomial's value and derivative at 1.
+
+    A connected set either avoids the new vertex, and is one of the base,
+    or holds it, so Phi = Phi_base + L_new: each base is counted once, each
+    extension only through its new vertex.  (The order-1 extension grows the
+    empty graph.)
+    """
+    new = order - 1
+    last = None
+    for base, nbrs, adj in _max_degree_extensions(order):
+        if base is not last:
+            last = base
+            base_graph = Graph._make(new, base)
+            base_v, base_d = _value_and_derivative(_count_connected(base_graph, 0))
+            parts = connected_components(base_graph)
+        if all(nbrs & part for part in parts):
+            v, d = _value_and_derivative(_count_connected(Graph._make(order, adj), 1 << new))
+            yield adj, base_v + v, base_d + d
+
+
+def graph_search(spec: GeneratorSpec, objective: Objective) -> ExtremalReport:
+    """The report :func:`extremal_search` gives on connected graphs, scored
+    on the one-vertex extensions of the classes one order down.
+
+    Every connected class is some connected extension, and each extension
+    is some class, so the best and runner-up means over
+    :func:`_scored_extensions` are those over the classes, and no extension
+    is deduplicated.  Means D/V are compared as D V' against D' V.  A class
+    may arise more than once, so the tied extensions are deduplicated by
+    printed form.
+    """
+    objective = Objective(objective)
+    sign = 1 if objective is Objective.GLOBAL_MEAN_MAX else -1
+    best: tuple[int, int] | None = None
+    second: tuple[int, int] | None = None
+    tied: list[tuple[int, ...]] = []
+    for adj, v, d in _scored_extensions(spec.order):
+        if best is None:
+            best, tied = (d, v), [adj]
+            continue
+        ahead = sign * (d * best[1] - best[0] * v)
+        if ahead == 0:
+            tied.append(adj)
+        elif ahead > 0:
+            second = best
+            best, tied = (d, v), [adj]
+        elif second is None or sign * (d * second[1] - second[0] * v) > 0:
+            second = (d, v)
+    mean = Fraction(*best)
+    forms = {emit_graph6(canonical_graph(Graph._make(spec.order, adj))) for adj in tied}
+    return ExtremalReport(
+        family=Family(spec.family).value,
+        order=spec.order,
+        objective=objective.value,
+        winners=tuple((form, mean) for form in sorted(forms)),
+        runner_up_gap=None if second is None else abs(mean - Fraction(*second)),
+    )
+
+
 def _recheck_by_phi_cotree(report: ExtremalReport) -> bool:
     """Recompute a cotree winner's mean with ``phi_cotree``, the polynomial
     recursion, which shares nothing with the knapsack's additive V and D."""
@@ -319,7 +394,7 @@ def run_claim(claim: ExtremalClaim, n_max: int) -> TheoremVerdict:
         raise OrderOutOfRange(
             f"{claim.range_label} supports {claim.lo}..{claim.hi}, got {n_max}"
         )
-    search = knapsack_search if claim.family in _COTREE_FILTER else extremal_search
+    search = knapsack_search if claim.family in _COTREE_FILTER else graph_search
     log, witness = [], None
     for n in range(claim.lo, n_max + 1):
         report = search(GeneratorSpec(claim.family, n), claim.objective)
@@ -424,6 +499,12 @@ DISCONNECTED_MAX = ExtremalClaim(
     ),
 )
 
+# The two connected-graph claims stop at order 8.  On a 2-core host, in fresh
+# processes, `verify table2 --nmax 8` took 0.9-1.3 s and `verify
+# path-conjecture --nmax 8` 0.9-1.2 s, each under 18 MB peak RSS, most of it
+# scoring the 20,085 connected order-8 extensions.  Order 9 would add about 40 s
+# to each: in process, with the other core busy, the 12,346 classes of order
+# 8 took 2.2 s to build and their extensions 36-38 s to score, at 19 MB.
 TABLE2 = ExtremalClaim(
     theorem="max-mean-table-connected-graphs",
     family=Family.CONNECTED_GRAPHS,
@@ -433,6 +514,7 @@ TABLE2 = ExtremalClaim(
     expected_mean=lambda n: _TABLE2_MEANS[n],
 )
 
+# Capped with TABLE2 above, at the same measured cost.
 PATH_MIN = ExtremalClaim(
     theorem="path-unique-min-connected-graphs",
     family=Family.CONNECTED_GRAPHS,
@@ -868,6 +950,38 @@ def verify_structural_theorems(n_max: int = 8) -> list[TheoremVerdict]:
 # ---------------------------------------------------------------------------
 
 
+def _phi_tree(tree: Graph) -> SubgraphPolynomial:
+    """Polynomial of a tree by a DP over subtree sizes, rooted at vertex 0.
+
+    The subtrees whose top vertex is v are v together with, for each child
+    c, nothing or a subtree topped at c, so f_v = x * prod(1 + f_c), and the
+    polynomial is the sum of every f_v.  Each product has the degree of the
+    subtree it covers, which keeps the whole DP at O(n^2).
+    """
+    n = tree.order
+    parent = [0] * n
+    order, seen = [0], 1
+    for v in order:
+        for w in iter_bits(tree.adj[v] & ~seen):
+            seen |= 1 << w
+            parent[w] = v
+            order.append(w)
+    # topped[v][k]: subtrees of k vertices topped at v, over the children folded in
+    topped = [[0, 1] for _ in range(n)]
+    for v in reversed(order[1:]):
+        acc, child = topped[parent[v]], topped[v]
+        grown = acc + [0] * (len(child) - 1)
+        for i, a in enumerate(acc):
+            for j in range(1, len(child)):
+                grown[i + j] += a * child[j]
+        topped[parent[v]] = grown
+    coeffs = [0] * n
+    for f in topped:
+        for k in range(1, len(f)):
+            coeffs[k - 1] += f[k]
+    return SubgraphPolynomial._make(n, tuple(coeffs))
+
+
 def find_local_counterexample(n: int = 14) -> LocalCounterexample:
     """A graph of order n with a vertex whose local mean undercuts the global.
 
@@ -875,7 +989,9 @@ def find_local_counterexample(n: int = 14) -> LocalCounterexample:
     then joins a universal vertex to it.  The universal vertex's local
     polynomial is pinned coefficientwise (it must be x(1+x)^(n-1)), which
     certifies the local mean of exactly (n+1)/2; the tree's higher mean then
-    drags the global mean strictly above it.
+    drags the global mean strictly above it.  The caterpillars are scored by
+    the tree DP :func:`_phi_tree`; the joined graph is counted by
+    :func:`~cographmean.poly.phi_bruteforce`.
     """
     if n < 14:
         raise RangeError(f"the construction needs order >= 14, got {n}")
@@ -886,7 +1002,7 @@ def find_local_counterexample(n: int = 14) -> LocalCounterexample:
     m = n - 1
     threshold = Fraction(m + 2, 2)
     for tree in enumerate_caterpillars(m):
-        tree_mean = global_mean(phi_bruteforce(tree))
+        tree_mean = global_mean(_phi_tree(tree))
         if tree_mean <= threshold:
             continue
         adj = tuple(a | 1 << m for a in tree.adj) + ((1 << m) - 1,)

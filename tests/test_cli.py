@@ -219,6 +219,22 @@ def test_verify_stdout_is_pinned(capsys, arguments):
     assert digest == VERIFY_STDOUT_SHA256[arguments]
 
 
+# The connected-graph sweeps at order 8, taken before they scored one-vertex
+# extensions instead of deduplicated classes.
+VERIFY_ORDER_8_STDOUT_SHA256 = {
+    "table2": "f02ea9849100cfbc55ae8579f2ce86e1637d52cb22d65877757851b2290bddcb",
+    "path-conjecture": "be280c282dc9a71abda10a620a10201438672560a197c8d5dcec0f4c1ee49dc7",
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("suite", sorted(VERIFY_ORDER_8_STDOUT_SHA256))
+def test_verify_order_8_stdout_is_pinned(capsys, suite):
+    code, out, _ = run(capsys, "verify", suite, "--nmax", "8")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ORDER_8_STDOUT_SHA256[suite]
+
+
 def test_enumerate_connected_graphs_7_is_pinned(capsys):
     code, out, _ = run(capsys, "enumerate", "connected-graphs", "7")
     assert code == 0

@@ -1,0 +1,107 @@
+"""The connected-graph search that scores one-vertex extensions.
+
+``graph_search`` never deduplicates the extensions it scores, so it is
+checked against ``extremal_search``, which scores each class once, and its
+pieces are checked on their own: the extensions reach exactly the connected
+classes, each extension's score is its polynomial, and tied winners are
+counted as classes.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from cographmean import verify as verify_module
+from cographmean.enumeration import (
+    Family,
+    GeneratorSpec,
+    canonical_graph,
+    enumerate_connected_graphs,
+)
+from cographmean.graph import Graph, emit_graph6
+from cographmean.poly import phi_bruteforce
+from cographmean.verify import (
+    Objective,
+    _scored_extensions,
+    extremal_search,
+    graph_search,
+)
+
+# OEIS A001349: connected graphs on n unlabelled vertices
+CONNECTED_GRAPH_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+
+
+def _spec(n: int) -> GeneratorSpec:
+    return GeneratorSpec(Family.CONNECTED_GRAPHS, n)
+
+
+def _form(order: int, adj: tuple[int, ...]) -> str:
+    return emit_graph6(canonical_graph(Graph(order, adj)))
+
+
+@pytest.mark.parametrize("objective", list(Objective))
+@pytest.mark.parametrize("n", [*range(1, 8), pytest.param(8, marks=pytest.mark.slow)])
+def test_graph_search_reports_what_extremal_search_reports(n, objective):
+    assert graph_search(_spec(n), objective) == extremal_search(_spec(n), objective)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_connected_extensions_reach_exactly_the_connected_classes(n):
+    reached = {_form(n, adj) for adj, _, _ in _scored_extensions(n)}
+    classes = {emit_graph6(canonical_graph(g)) for g in enumerate_connected_graphs(n)}
+    assert reached == classes
+    assert len(reached) == CONNECTED_GRAPH_COUNTS[n]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_base_plus_new_vertex_score_is_the_polynomial(n):
+    scored = 0
+    for adj, value, deriv in _scored_extensions(n):
+        p = phi_bruteforce(Graph(n, adj))
+        assert (value, deriv) == (p.value_at_one(), p.derivative_at_one())
+        scored += 1
+    assert scored >= CONNECTED_GRAPH_COUNTS[n]
+
+
+def _inject(monkeypatch, extensions):
+    monkeypatch.setattr(verify_module, "_max_degree_extensions", lambda order: iter(extensions))
+
+
+# Order-4 extensions of the path 0-1-2: the new vertex 3 on the middle vertex
+# gives the star (mean 23/11); on either end it gives the path P4 (mean 2).
+P3 = (2, 5, 2)
+STAR_ON_P3 = (P3, 0b010, (2, 13, 2, 2))
+P4_AT_0 = (P3, 0b001, (10, 5, 2, 1))
+P4_AT_2 = (P3, 0b100, (2, 5, 10, 4))
+
+
+def test_tie_between_two_extensions_of_one_class_is_unique(monkeypatch):
+    _inject(monkeypatch, [STAR_ON_P3, P4_AT_0, P4_AT_2])
+    report = graph_search(_spec(4), Objective.GLOBAL_MEAN_MIN)
+    assert report.winners == ((_form(4, P4_AT_0[2]), Fraction(2)),)
+    assert report.is_unique
+    assert report.runner_up_gap == Fraction(23, 11) - 2
+
+
+def test_tie_between_two_classes_is_not_unique(monkeypatch):
+    # Order 5: the path (mean 7/3), then the star K_{1,4} and K5 minus an
+    # edge, both of mean 13/5.
+    path = ((2, 5, 10, 4), 0b1000, (2, 5, 10, 20, 8))
+    star = ((14, 1, 1, 1), 0b0001, (30, 1, 1, 1, 1))
+    k5_minus_edge = ((14, 13, 3, 3), 0b1111, (30, 29, 19, 19, 15))
+    _inject(monkeypatch, [path, star, k5_minus_edge])
+    report = graph_search(_spec(5), Objective.GLOBAL_MEAN_MAX)
+    assert report.winners == tuple(
+        sorted((_form(5, ext[2]), Fraction(13, 5)) for ext in (star, k5_minus_edge))
+    )
+    assert not report.is_unique
+    assert report.runner_up_gap == Fraction(13, 5) - Fraction(7, 3)
+
+
+def test_connected_graph_claims_search_by_graph_search(monkeypatch):
+    def refuse(spec, objective):
+        raise AssertionError("extremal_search is only a test oracle")
+
+    monkeypatch.setattr(verify_module, "extremal_search", refuse)
+    assert verify_module.verify_table2(6).passed
+    assert verify_module.verify_path_min_conjecture(6).passed

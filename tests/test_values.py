@@ -23,7 +23,7 @@ from cographmean.cotree import (
     cotree_to_graph,
     parse_cotree,
 )
-from cographmean.enumeration import Family, GeneratorSpec
+from cographmean.enumeration import Family, GeneratorSpec, enumerate_connected_graphs
 from cographmean.graph import (
     Graph,
     complement,
@@ -207,6 +207,10 @@ def test_unchecked_graphs_pass_the_public_constructor(rng):
         _assert_valid_graph(complement(g))
         _assert_valid_graph(induced_subgraph(g, rng.randint(1, (1 << n) - 1)))
         _assert_valid_graph(cotree_to_graph(random_cotree(rng, n)))
+    # the connected-graph classes are few enough to check every one
+    for n in range(1, 8):
+        for g in enumerate_connected_graphs(n):
+            _assert_valid_graph(g)
 
 
 def test_unchecked_polynomials_pass_the_public_constructor(rng):

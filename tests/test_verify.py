@@ -28,7 +28,9 @@ from cographmean import (
 )
 from cographmean import verify as verify_module
 from cographmean.cli import main
+from cographmean.enumeration import enumerate_caterpillars
 from cographmean.errors import OrderOutOfRange, RangeError
+from cographmean.graph import from_edge_list
 from cographmean.poly import MeanFamily, SubgraphPolynomial, closed_form_means
 from cographmean.verify import (
     DISCONNECTED_MAX,
@@ -36,6 +38,7 @@ from cographmean.verify import (
     STAR_MAX,
     TABLE1,
     TABLE2,
+    _phi_tree,
     grid_graph,
     max_mean_connected_cograph,
     path_graph,
@@ -301,8 +304,8 @@ def test_verdict_json_shape():
 
 def patch_searches(monkeypatch, edit):
     """Pass every report through ``edit(spec, report)``.  Claims on cotree
-    families search by knapsack_search, the others by extremal_search."""
-    for name in ("extremal_search", "knapsack_search"):
+    families search by knapsack_search, the others by graph_search."""
+    for name in ("graph_search", "knapsack_search"):
         real = getattr(verify_module, name)
         monkeypatch.setattr(
             verify_module,
@@ -383,3 +386,25 @@ def test_cotree_winner_mean_is_rechecked_by_phi_cotree(monkeypatch):
     (winner,) = verdict.witness["report"]["winners"]
     assert winner["form"] == DISCONNECTED_MAX.expected_form(5)
     assert len(verdict.log) == 3
+
+
+# ---------------------------------------------------------------------------
+# the tree DP that scores caterpillars for the local counterexample
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_tree_dp_matches_subset_count_on_every_caterpillar(n):
+    for tree in enumerate_caterpillars(n):
+        assert _phi_tree(tree) == phi_bruteforce(tree)
+
+
+def test_tree_dp_matches_subset_count_on_random_trees(rng):
+    for _ in range(60):
+        n = rng.randint(1, 16)
+        labels = list(range(n))
+        rng.shuffle(labels)
+        tree = from_edge_list(
+            n, [(labels[v], labels[rng.randrange(v)]) for v in range(1, n)]
+        )
+        assert _phi_tree(tree) == phi_bruteforce(tree)
