@@ -28,10 +28,13 @@ from .errors import (
 from .graph import MAX_ORDER, Graph, Value
 
 # Orders above this need an explicit cap.  Counting costs time in proportion
-# to the number of connected sets, which can approach 2^n: the complement of
-# the 24-vertex path has 16,777,170 of them, and `cographmean mean` on it
-# took 8-11 s (global) and 3-4 s (--local 0) at 17 MB peak RSS on a 2-core
-# host.  Sparse graphs are far cheaper (a 24-vertex path is instant).
+# to the connected sets that leave some vertex out of reach (see
+# `_count_connected`), so neither dense nor very sparse graphs are the worst
+# case.  On a 2-core host, in fresh processes, `cographmean mean --poly` at
+# order 24 took 0.1 s on the complement of the path and on the cycle,
+# 0.4-0.6 s on the 4x6 grid and on a random cubic graph, and 1.9-2.1 s on
+# G(24, 0.3) (seeded), the worst case seen; `--local 0` took at most 1.2 s,
+# and every run stayed under 16 MB peak RSS.
 DEFAULT_BRUTE_FORCE_CAP = 24
 
 
@@ -197,42 +200,77 @@ def _check_cap(g: Graph, cap: int | None) -> int:
 def _count_connected(g: Graph, required: int) -> list[int]:
     """Count connected subsets by size; only those containing ``required``.
 
-    ESU enumeration (Wernicke 2006): each connected set is reached once,
-    from its smallest vertex, or from ``required`` when that is set.  A
-    state is (size, extension, seen): the extension holds the candidates
-    not yet branched on, and seen holds the set, its neighbourhood and,
-    for global counts, every vertex below the root.
+    The count is taken from the sets that are *not* connected.  Fix a root
+    r: ``required``, or, for a global count, each vertex in turn as the
+    smallest vertex of the set.  Every set S through r splits one way into
+    C, the component of G[S] that holds r, and any subset of out(C), the
+    vertices outside N[C] (and, for a global count, above r).  So
+
+        sum_{S through r} x^|S| = sum_{C connected through r} x^|C| (1+x)^|out(C)|,
+
+    and the left side, summed over the roots, is (1+x)^n - 1, or
+    x(1+x)^(n-1) for a local count.  With h[s][m] the number of connected
+    sets C of size s whose out(C) has m >= 1 vertices,
+
+        a_k = C(n, k) (local: C(n-1, k-1)) - sum_{s, m} h[s][m] C(m, k-s).
+
+    The sets C are listed by ESU (Wernicke 2006), each once from its root.
+    A state is (size, extension, free): the extension holds the candidates
+    not yet branched on, and free is out(C) of the set the state grows.
+    Adding a vertex w to C moves w's neighbours in free to the extension
+    and leaves out(C + w) = free minus those neighbours.  Growing C only
+    shrinks out(C), so a set whose out(C) is empty is neither counted nor
+    extended: in a dense graph most branches end at once.
     """
     n, adj = g.order, g.adj
-    counts = [0] * (n + 1)
+    full = (1 << n) - 1
+    # h[s][m]; each row is looked up once per state, as its sets share a size
+    h = [[0] * (n + 1) for _ in range(n + 1)]
     roots = [required.bit_length() - 1] if required else range(n)
     for root in roots:
         below = 0 if required else (1 << root) - 1
-        counts[1] += 1
+        out = full ^ (below | adj[root] | 1 << root)
+        if not out:
+            continue
+        h[1][out.bit_count()] += 1
         # Each entry holds the size of the sets its extension will produce.
-        stack = [(2, adj[root] & ~below, below | adj[root] | 1 << root)]
+        stack = [(2, adj[root] & ~below, out)]
         while stack:
-            size, ext, seen = stack.pop()
+            size, ext, free = stack.pop()
+            row = h[size]
             while ext:
                 w = ext & -ext
                 ext ^= w
-                nbr = adj[w.bit_length() - 1]
-                counts[size] += 1
-                grown = ext | (nbr & ~seen)
-                if grown:
-                    stack.append((size + 1, grown, seen | nbr))
+                new = adj[w.bit_length() - 1] & free
+                out = free ^ new
+                if out:
+                    row[out.bit_count()] += 1
+                    grown = ext | new
+                    if grown:
+                        stack.append((size + 1, grown, out))
+    if required:
+        counts = [0] + [comb(n - 1, k) for k in range(n)]
+    else:
+        counts = [0] + [comb(n, k) for k in range(1, n + 1)]
+    for s, row in enumerate(h):
+        for m, c in enumerate(row):
+            if c:
+                for j in range(1, m + 1):
+                    counts[s + j] -= c * comb(m, j)
     return counts
 
 
 def phi_bruteforce(g: Graph, cap: int | None = None) -> SubgraphPolynomial:
-    """Polynomial by enumerating every connected set; exact for any graph within cap."""
+    """Polynomial by counting the sets that are not connected (see
+    ``_count_connected``); exact for any graph within cap."""
     n = _check_cap(g, cap)
     counts = _count_connected(g, 0)
     return SubgraphPolynomial._make(n, tuple(counts[1:]))
 
 
 def phi_local_bruteforce(g: Graph, v: int, cap: int | None = None) -> SubgraphPolynomial:
-    """Local polynomial at vertex ``v``, enumerating the connected sets through ``v``."""
+    """Local polynomial at vertex ``v``, from the sets through ``v`` that are
+    not connected (see ``_count_connected``)."""
     n = _check_cap(g, cap)
     if not 0 <= v < n:
         raise VertexOutOfRange(f"vertex {v} outside 0..{n - 1}")

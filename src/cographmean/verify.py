@@ -37,7 +37,6 @@ from .cotree import (
 )
 from .enumeration import (
     MAX_CATERPILLAR_ORDER,
-    MAX_GRAPH_ENUM_ORDER,
     _COTREE_FILTER,
     Family,
     GeneratorSpec,
@@ -433,12 +432,13 @@ _TABLE2_MEANS = {
     6: Fraction(67, 21),
     7: Fraction(83, 22),
     8: Fraction(22, 5),
+    9: Fraction(996, 197),
 }
 
 # Verified by exhaustive subset scan and hand-checked coefficients
-# (9, 12, 22, 36, 49, 48, 32, 9, 1).  The grid is known not to be the
-# order-9 maximum: theta_graph(2, 2, 3) has mean 357/71, and K4 with five
-# edges subdivided (graph6 H??ZLRO) has 996/197.
+# (9, 12, 22, 36, 49, 48, 32, 9, 1).  The grid is not the order-9 maximum:
+# theta_graph(2, 2, 3) has mean 357/71, and K4 with five edges subdivided
+# (graph6 H??ZLRO), the order-9 row of TABLE2, has 996/197.
 _GRID_3X3_MEAN = Fraction(1081, 218)
 
 
@@ -447,6 +447,11 @@ def _table2_expected_graph(n: int) -> Graph:
         return cotree_to_graph(complete(3))
     if n == 4:
         return cotree_to_graph(complete_bipartite(2, 2))
+    if n == 9:  # K4 with five of its six edges subdivided once
+        return from_edge_list(9, [
+            (0, 1), (0, 4), (4, 2), (0, 5), (5, 3), (1, 6),
+            (6, 2), (1, 7), (7, 3), (2, 8), (8, 3),
+        ])
     internals = {5: (1, 1, 1), 6: (2, 1, 1), 7: (2, 2, 1), 8: (2, 2, 2)}[n]
     return theta_graph(*internals)
 
@@ -499,27 +504,30 @@ DISCONNECTED_MAX = ExtremalClaim(
     ),
 )
 
-# The two connected-graph claims stop at order 8.  On a 2-core host, in fresh
-# processes, `verify table2 --nmax 8` took 0.9-1.3 s and `verify
-# path-conjecture --nmax 8` 0.9-1.2 s, each under 18 MB peak RSS, most of it
-# scoring the 20,085 connected order-8 extensions.  Order 9 would add about 40 s
-# to each: in process, with the other core busy, the 12,346 classes of order
-# 8 took 2.2 s to build and their extensions 36-38 s to score, at 19 MB.
+# The two connected-graph claims stop at order 9 (`enumerate connected-graphs`
+# stops at 8: printing order 9 would put 261,080 classes in canonical form).
+# On a 2-core host, in fresh processes, `verify table2 --nmax 9` took 23.4 s and
+# `verify path-conjecture --nmax 9` 21.7 s, each at 20 MB peak RSS: building
+# the 12,346 classes of order 8, then scoring their connected extensions.
+# Order 10 would score the extensions of 274,668 classes of order 9, which take
+# about 42 s and 121 MB to build alone.
+MAX_GRAPH_SEARCH_ORDER = 9
+
 TABLE2 = ExtremalClaim(
     theorem="max-mean-table-connected-graphs",
     family=Family.CONNECTED_GRAPHS,
     objective=Objective.GLOBAL_MEAN_MAX,
-    lo=3, hi=8, range_label="connected-graph table",
+    lo=3, hi=MAX_GRAPH_SEARCH_ORDER, range_label="connected-graph table",
     expected_form=lambda n: emit_graph6(canonical_graph(_table2_expected_graph(n))),
     expected_mean=lambda n: _TABLE2_MEANS[n],
 )
 
-# Capped with TABLE2 above, at the same measured cost.
+# Capped with TABLE2 above, at about the same measured cost.
 PATH_MIN = ExtremalClaim(
     theorem="path-unique-min-connected-graphs",
     family=Family.CONNECTED_GRAPHS,
     objective=Objective.GLOBAL_MEAN_MIN,
-    lo=3, hi=MAX_GRAPH_ENUM_ORDER, range_label="path-minimum sweep",
+    lo=3, hi=MAX_GRAPH_SEARCH_ORDER, range_label="path-minimum sweep",
     expected_form=lambda n: emit_graph6(canonical_graph(path_graph(n))),
     log_line=lambda n, r: f"n={n}: path mean {r.winner_mean}",
 )
@@ -550,8 +558,8 @@ def verify_disconnected_max(n_max: int = 10) -> TheoremVerdict:
 def verify_table2(n_max: int = 7) -> TheoremVerdict:
     """Unique maximum-mean connected graphs for orders 3..n_max, plus the
     pinned mean of the 3x3 grid.  The grid is a reference value only: it is
-    known not to be the order-9 maximum, since theta(2, 2, 3) has the larger
-    mean 357/71."""
+    not the order-9 maximum, which ``n_max=9`` checks is K4 with five edges
+    subdivided, mean 996/197."""
     verdict = run_claim(TABLE2, n_max)
     if not verdict.passed:
         return verdict

@@ -141,9 +141,8 @@ def test_criterion_05_grid_constant_as_specified():
     # its six edges subdivided once (canonical graph6 H??ZLRO), coefficients
     # 9,11,17,28,42,49,31,9,1.  The 3x3 grid's mean is 1081/218 (coefficients
     # 9,12,22,36,49,48,32,9,1), and theta(2,2,3) = 357/71 already beats it, so
-    # the grid is not the order-9 maximum.  Hill-climbs over labelled 9-vertex
-    # graphs find nothing above 996/197, but order 9 is beyond exhaustive
-    # enumeration, so no maximality is asserted here.
+    # the grid is not the order-9 maximum.  Maximality of 996/197 is asserted
+    # by the opt-in `verify table2 --nmax 9` test in test_cli.py, not here.
     k4_subdivision = from_edge_list(
         9,
         [(0, 1), (0, 4), (4, 2), (0, 5), (5, 3), (1, 6),

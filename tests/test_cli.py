@@ -78,6 +78,24 @@ def test_mean_falls_back_to_bruteforce_for_non_cographs(capsys):
     assert code == 0
 
 
+# sha256 of `mean` stdout on the complement of the 24-vertex path, the order
+# cap's old worst case (16,777,170 connected sets), taken while the counter
+# still visited every connected set.
+PATH_COMPLEMENT_24_STDOUT_SHA256 = {
+    "--poly": "2126b062a54087ec6a9d90db4cfec07745b69b5e9e98490e7da80b9ce9bb9cf3",
+    "--local 0": "544d3c14af45461b9243613fac344bf3c9cced094c92a02d460ca4c7aed69e30",
+}
+
+
+@pytest.mark.parametrize("flags", sorted(PATH_COMPLEMENT_24_STDOUT_SHA256))
+def test_mean_of_the_path_complement_at_the_cap_is_pinned(capsys, flags):
+    path = {(i, i + 1) for i in range(23)}
+    g = from_edge_list(24, [(u, v) for v in range(24) for u in range(v) if (u, v) not in path])
+    code, out, _ = run(capsys, "mean", emit_graph6(g), *flags.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PATH_COMPLEMENT_24_STDOUT_SHA256[flags]
+
+
 def test_cotree_only_rejects_p4(capsys):
     # the 4-path in graph6
     from cographmean import emit_graph6, from_edge_list
@@ -233,6 +251,26 @@ def test_verify_order_8_stdout_is_pinned(capsys, suite):
     code, out, _ = run(capsys, "verify", suite, "--nmax", "8")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ORDER_8_STDOUT_SHA256[suite]
+
+
+# The connected-graph sweeps at order 9, their cap; taken when the cap was
+# raised from 8.  Order 9 has one maximum, K4 with five edges subdivided, and
+# one minimum, the path.
+VERIFY_ORDER_9 = {
+    "table2": ("n=9: H??ZLRO mean 996/197", "ac380a0f6892c5c8167d5a1a051ba1ab18fa9b0343a53d6e1ba07d4918f4319e"),
+    "path-conjecture": ("n=9: path mean 11/3", "c328ca2a7efcd2d46cb54968f26231d9a1332d519ee538411ec51aa69e3bd46d"),
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("suite", sorted(VERIFY_ORDER_9))
+def test_verify_order_9(capsys, suite):
+    row, digest = VERIFY_ORDER_9[suite]
+    code, out, _ = run(capsys, "verify", suite, "--nmax", "9")
+    assert code == 0
+    (verdict,) = json.loads(out)["verdicts"]
+    assert verdict["status"] == "PASS" and row in verdict["log"]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_enumerate_connected_graphs_7_is_pinned(capsys):

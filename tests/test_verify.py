@@ -182,7 +182,9 @@ def test_claim_expected_forms_have_expected_means(claim):
 
 def test_nmax_validation():
     with pytest.raises(OrderOutOfRange):
-        verify_table2(9)
+        verify_table2(10)
+    with pytest.raises(OrderOutOfRange):
+        verify_path_min_conjecture(10)
     with pytest.raises(OrderOutOfRange):
         verify_path_min_conjecture(2)
     with pytest.raises(RangeError):
