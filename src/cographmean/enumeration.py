@@ -11,11 +11,10 @@ once in a fixed order:
   vertex lies in the last cell of a colour-refined partition of the
   vertices, a cell chosen without reference to labels, so each class is
   still reached by deleting one of those vertices.  Kept extensions are
-  deduplicated on a cheap certificate, the minimal code over the
-  labellings that respect that partition, and the first extension kept
-  for each class is its representative.  The canonical representative
-  (lexicographically minimal upper-triangle bitstring over all vertex
-  permutations) is computed only for graphs that are printed;
+  deduplicated on the minimal code over the labellings that respect that
+  partition; the first one of each class represents it.  The canonical
+  form (lexicographically minimal upper-triangle bitstring over all
+  vertex permutations) is computed only for graphs that are printed;
 * caterpillar trees, encoded by spine length plus per-spine leaf counts,
   deduplicated under reversal.
 """
@@ -245,12 +244,16 @@ def canonical_graph(g: Graph) -> Graph:
     return Graph(g.order, _code_to_adj(g.order, _min_code(g.order, g.adj)))
 
 
-def _max_degree_extensions(
-    order: int,
-) -> Iterator[tuple[tuple[int, ...], int, tuple[int, ...]]]:
-    """``(base, nbrs, adj)`` for each way to add a vertex of maximum degree,
-    with neighbours ``nbrs``, to a class representative ``base`` of order
-    ``order - 1``; ``adj`` is the extension, the new vertex last.
+def _extend(base: tuple[int, ...], nbrs: int) -> tuple[int, ...]:
+    """``base`` with a new last vertex whose neighbours are ``nbrs``."""
+    new = len(base)
+    return tuple(a | (nbrs >> v & 1) << new for v, a in enumerate(base)) + (nbrs,)
+
+
+def _max_degree_extensions(order: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """``(base, nbrs)`` for each way to add a vertex of maximum degree, with
+    neighbours ``nbrs``, to a class representative ``base`` of order
+    ``order - 1``.
 
     Every class of the given order arises, some more than once: deleting a
     vertex of maximum degree leaves some class, and adding the vertex back
@@ -259,7 +262,7 @@ def _max_degree_extensions(
     only the least is tried: the one that takes twins lowest label first.
     """
     if order == 1:
-        yield (), 0, (0,)
+        yield (), 0
         return
     new = order - 1  # the added vertex
     for base in _graph_classes(new):
@@ -272,12 +275,8 @@ def _max_degree_extensions(
             size = nbrs.bit_count()
             if size < top or size == top and nbrs & at_top:
                 continue
-            if any(nbrs & bit and lower & ~nbrs for bit, lower in twins):
-                continue
-            adj = tuple(
-                base[v] | (nbrs >> v & 1) << new for v in range(new)
-            ) + (nbrs,)
-            yield base, nbrs, adj
+            if not any(nbrs & bit and lower & ~nbrs for bit, lower in twins):
+                yield base, nbrs
 
 
 @lru_cache(maxsize=None)
@@ -297,7 +296,8 @@ def _graph_classes(order: int) -> tuple[tuple[int, ...], ...]:
     """
     new = order - 1
     seen: dict[int, tuple[int, ...]] = {}
-    for _, _, adj in _max_degree_extensions(order):
+    for base, nbrs in _max_degree_extensions(order):
+        adj = _extend(base, nbrs)
         cell_of = _cells(order, adj)
         if cell_of[-1] >> new & 1:
             seen.setdefault(_min_code(order, adj, cell_of), adj)
@@ -369,9 +369,8 @@ def enumerate_caterpillars(order: int) -> Iterator[Graph]:
         if extra < 2:
             continue
         for leaves in _leaf_profiles(spine, extra):
-            if leaves[::-1] < leaves:
-                continue
-            yield _caterpillar_graph(spine, leaves)
+            if leaves <= leaves[::-1]:
+                yield _caterpillar_graph(spine, leaves)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,12 @@
 Every check here is exact: means are compared as rationals, never within a
 tolerance.  Searches cover whole isomorphism-class families: connected
 graphs by scoring the one-vertex extensions of the classes one order down,
-without deduplicating them (:func:`graph_search`), cotree families by the
-exact fractional knapsack of :mod:`cographmean.knapsack`, which never lists
-them.  :func:`extremal_search`, which scores each enumerated class once, is
-kept as their test oracle.  All report all tied winners and treat every
+without deduplicating them (:func:`graph_search`), each as its base's
+connected-set count plus a subset sum for the new vertex; cotree families
+by the exact fractional knapsack of :mod:`cographmean.knapsack`, which
+never lists them and is imported only when a cotree family is searched.
+:func:`extremal_search`, which scores each enumerated class once, is kept
+as their test oracle.  All report all tied winners and treat every
 uniqueness claim as an assertion to test, not an assumption.  Inequality
 sweeps use closed forms so they reach orders far past enumeration range;
 below each inequality's stated threshold the sweep records what actually
@@ -40,6 +42,7 @@ from .enumeration import (
     _COTREE_FILTER,
     Family,
     GeneratorSpec,
+    _extend,
     _max_degree_extensions,
     canonical_graph,
     enumerate_caterpillars,
@@ -56,7 +59,6 @@ from .graph import (
     from_edge_list,
     iter_bits,
 )
-from .knapsack import extremal_cotrees
 from .poly import (
     MeanFamily,
     SubgraphPolynomial,
@@ -266,6 +268,8 @@ def knapsack_search(spec: GeneratorSpec, objective: Objective) -> ExtremalReport
     """The report :func:`extremal_search` gives on a cotree family, computed
     by :func:`~cographmean.knapsack.extremal_cotrees` without enumerating
     the family."""
+    from .knapsack import extremal_cotrees
+
     objective = Objective(objective)
     family = Family(spec.family)
     winners, gap = extremal_cotrees(
@@ -285,27 +289,83 @@ def _value_and_derivative(counts: list[int]) -> tuple[int, int]:
     return sum(counts), sum(k * a for k, a in enumerate(counts))
 
 
-def _scored_extensions(order: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
-    """``(adj, V, D)`` for each connected extension of
+def _subset_term(base: tuple[int, ...], subset: int) -> tuple[int, int]:
+    """The term of M = ``subset`` in :func:`_new_vertex_score`'s sum,
+    (-1)^c(M) x^k (1+x)^q, and its derivative at x = 1: +-2^q and
+    +-(2k + q) 2^(q-1), with c(M) the number of components of base[M],
+    k = |M| + 1 and q the number of base vertices outside N[M]."""
+    closed = rest = subset
+    parts = 0
+    while rest:  # flood-fill one component of base[M] per round
+        parts += 1
+        grown = rest & -rest
+        rest ^= grown
+        while grown:
+            bit = grown & -grown
+            grown ^= bit
+            nbrs = base[bit.bit_length() - 1]
+            closed |= nbrs
+            grown |= nbrs & rest
+            rest &= ~nbrs
+    k = subset.bit_count() + 1
+    q = len(base) - closed.bit_count()
+    value, deriv = 1 << q, (2 * k + q << q) >> 1
+    return (-value, -deriv) if parts & 1 else (value, deriv)
+
+
+def _new_vertex_score(
+    base: tuple[int, ...], nbrs: int, terms: dict[int, tuple[int, int]],
+) -> tuple[int, int]:
+    """L(1) and L'(1), with L the polynomial of the connected sets through a
+    vertex added to ``base`` with neighbours ``nbrs``.
+
+    Such a set is the new vertex and a base set T in which every component
+    meets ``nbrs``.  By inclusion-exclusion over M, a union of T's
+    components that avoid ``nbrs`` (Bjorklund, Husfeldt, Kaski and Koivisto
+    2007, "Fourier meets Moebius"):
+
+        L(x) = sum over subsets M of V(base) - nbrs of
+               (-1)^c(M) x^(|M|+1) (1+x)^(m - |N[M]|),
+
+    with m = |V(base)|, since T - M is any set of base vertices outside
+    N[M].  The sum walks the submasks of V(base) - nbrs, and ``terms``
+    memoises :func:`_subset_term` for one base.
+    """
+    free = (1 << len(base)) - 1 & ~nbrs
+    value = deriv = 0
+    subset = free
+    while True:
+        term = terms.get(subset)
+        if term is None:
+            term = terms[subset] = _subset_term(base, subset)
+        value += term[0]
+        deriv += term[1]
+        if not subset:
+            return value, deriv
+        subset = subset - 1 & free
+
+
+def _scored_extensions(order: int) -> Iterator[tuple[tuple[int, ...], int, int, int]]:
+    """``(base, nbrs, V, D)`` for each connected extension of
     :func:`~cographmean.enumeration._max_degree_extensions`, with V and D
     its polynomial's value and derivative at 1.
 
     A connected set either avoids the new vertex, and is one of the base,
     or holds it, so Phi = Phi_base + L_new: each base is counted once, each
-    extension only through its new vertex.  (The order-1 extension grows the
-    empty graph.)
+    extension only through its new vertex, by :func:`_new_vertex_score`.
+    (The order-1 extension grows the empty graph.)
     """
-    new = order - 1
     last = None
-    for base, nbrs, adj in _max_degree_extensions(order):
+    for base, nbrs in _max_degree_extensions(order):
         if base is not last:
             last = base
-            base_graph = Graph._make(new, base)
+            base_graph = Graph._make(order - 1, base)
             base_v, base_d = _value_and_derivative(_count_connected(base_graph, 0))
             parts = connected_components(base_graph)
+            terms: dict[int, tuple[int, int]] = {}
         if all(nbrs & part for part in parts):
-            v, d = _value_and_derivative(_count_connected(Graph._make(order, adj), 1 << new))
-            yield adj, base_v + v, base_d + d
+            v, d = _new_vertex_score(base, nbrs, terms)
+            yield base, nbrs, base_v + v, base_d + d
 
 
 def graph_search(spec: GeneratorSpec, objective: Objective) -> ExtremalReport:
@@ -323,21 +383,24 @@ def graph_search(spec: GeneratorSpec, objective: Objective) -> ExtremalReport:
     sign = 1 if objective is Objective.GLOBAL_MEAN_MAX else -1
     best: tuple[int, int] | None = None
     second: tuple[int, int] | None = None
-    tied: list[tuple[int, ...]] = []
-    for adj, v, d in _scored_extensions(spec.order):
+    tied: list[tuple[tuple[int, ...], int]] = []
+    for base, nbrs, v, d in _scored_extensions(spec.order):
         if best is None:
-            best, tied = (d, v), [adj]
+            best, tied = (d, v), [(base, nbrs)]
             continue
         ahead = sign * (d * best[1] - best[0] * v)
         if ahead == 0:
-            tied.append(adj)
+            tied.append((base, nbrs))
         elif ahead > 0:
             second = best
-            best, tied = (d, v), [adj]
+            best, tied = (d, v), [(base, nbrs)]
         elif second is None or sign * (d * second[1] - second[0] * v) > 0:
             second = (d, v)
     mean = Fraction(*best)
-    forms = {emit_graph6(canonical_graph(Graph._make(spec.order, adj))) for adj in tied}
+    forms = {
+        emit_graph6(canonical_graph(Graph._make(spec.order, _extend(base, nbrs))))
+        for base, nbrs in tied
+    }
     return ExtremalReport(
         family=Family(spec.family).value,
         order=spec.order,
@@ -506,11 +569,11 @@ DISCONNECTED_MAX = ExtremalClaim(
 
 # The two connected-graph claims stop at order 9 (`enumerate connected-graphs`
 # stops at 8: printing order 9 would put 261,080 classes in canonical form).
-# On a 2-core host, in fresh processes, `verify table2 --nmax 9` took 23.4 s and
-# `verify path-conjecture --nmax 9` 21.7 s, each at 20 MB peak RSS: building
-# the 12,346 classes of order 8, then scoring their connected extensions.
-# Order 10 would score the extensions of 274,668 classes of order 9, which take
-# about 42 s and 121 MB to build alone.
+# On a 2-core host, in fresh processes, `verify table2 --nmax 9` took 6.7-7.1 s
+# and `verify path-conjecture --nmax 9` 5.3-6.4 s, each at 20 MB peak RSS:
+# building the 12,346 classes of order 8 (about 1.7 s), then scoring their
+# 470,725 connected extensions.  Order 10 would score the extensions of
+# 274,668 classes of order 9, which take about 42 s and 121 MB to build alone.
 MAX_GRAPH_SEARCH_ORDER = 9
 
 TABLE2 = ExtremalClaim(

@@ -501,6 +501,17 @@ def test_fresh_verify_and_enumerate_print_what_they_printed_before():
     )
 
 
+@pytest.mark.parametrize("suite", ["table2", "path-conjecture"])
+def test_fresh_connected_graph_suites_do_not_load_the_knapsack(suite):
+    # Only the cotree suites search by the knapsack; ``verify table1`` still
+    # loads it (above).
+    done, imported = _fresh_cli("verify", suite)
+    assert done.returncode == 0, done.stderr
+    assert "cographmean.verify" in imported
+    assert "cographmean.knapsack" not in imported
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == VERIFY_STDOUT_SHA256[suite]
+
+
 @pytest.mark.parametrize(
     "graph6, mean",
     [

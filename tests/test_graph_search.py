@@ -3,10 +3,12 @@
 ``graph_search`` never deduplicates the extensions it scores, so it is
 checked against ``extremal_search``, which scores each class once, and its
 pieces are checked on their own: the extensions reach exactly the connected
-classes, each extension's score is its polynomial, and tied winners are
+classes, each extension's score is its polynomial, the subset sum through
+the new vertex is the connected-set count through it, and tied winners are
 counted as classes.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,17 +17,23 @@ from cographmean import verify as verify_module
 from cographmean.enumeration import (
     Family,
     GeneratorSpec,
+    _extend,
+    _max_degree_extensions,
     canonical_graph,
     enumerate_connected_graphs,
 )
-from cographmean.graph import Graph, emit_graph6
-from cographmean.poly import phi_bruteforce
+from cographmean.graph import Graph, connected_components, emit_graph6
+from cographmean.poly import _count_connected, phi_bruteforce
 from cographmean.verify import (
     Objective,
+    _new_vertex_score,
     _scored_extensions,
+    _value_and_derivative,
     extremal_search,
     graph_search,
 )
+
+from conftest import oracle_esu_counts
 
 # OEIS A001349: connected graphs on n unlabelled vertices
 CONNECTED_GRAPH_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
@@ -39,6 +47,12 @@ def _form(order: int, adj: tuple[int, ...]) -> str:
     return emit_graph6(canonical_graph(Graph(order, adj)))
 
 
+def _count_through_new(base: tuple[int, ...], nbrs: int) -> tuple[int, int]:
+    """L(1) and L'(1) of the new vertex, by counting its connected sets."""
+    g = Graph(len(base) + 1, _extend(base, nbrs))
+    return _value_and_derivative(_count_connected(g, 1 << len(base)))
+
+
 @pytest.mark.parametrize("objective", list(Objective))
 @pytest.mark.parametrize("n", [*range(1, 8), pytest.param(8, marks=pytest.mark.slow)])
 def test_graph_search_reports_what_extremal_search_reports(n, objective):
@@ -47,7 +61,7 @@ def test_graph_search_reports_what_extremal_search_reports(n, objective):
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_connected_extensions_reach_exactly_the_connected_classes(n):
-    reached = {_form(n, adj) for adj, _, _ in _scored_extensions(n)}
+    reached = {_form(n, _extend(base, nbrs)) for base, nbrs, _, _ in _scored_extensions(n)}
     classes = {emit_graph6(canonical_graph(g)) for g in enumerate_connected_graphs(n)}
     assert reached == classes
     assert len(reached) == CONNECTED_GRAPH_COUNTS[n]
@@ -56,15 +70,56 @@ def test_connected_extensions_reach_exactly_the_connected_classes(n):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_base_plus_new_vertex_score_is_the_polynomial(n):
     scored = 0
-    for adj, value, deriv in _scored_extensions(n):
-        p = phi_bruteforce(Graph(n, adj))
+    for base, nbrs, value, deriv in _scored_extensions(n):
+        p = phi_bruteforce(Graph(n, _extend(base, nbrs)))
         assert (value, deriv) == (p.value_at_one(), p.derivative_at_one())
         scored += 1
     assert scored >= CONNECTED_GRAPH_COUNTS[n]
 
 
+@pytest.mark.parametrize("n", [*range(1, 8), pytest.param(8, marks=pytest.mark.slow)])
+def test_subset_sum_is_the_count_through_the_new_vertex(n):
+    scored = 0
+    last = None
+    for base, nbrs in _max_degree_extensions(n):
+        if base is not last:
+            last, terms = base, {}
+            parts = connected_components(Graph._make(n - 1, base))
+        if all(nbrs & part for part in parts):
+            assert _new_vertex_score(base, nbrs, terms) == _count_through_new(base, nbrs)
+            scored += 1
+    assert scored == {1: 1, 2: 1, 3: 2, 4: 6, 5: 28, 6: 166, 7: 1526, 8: 20085}[n]
+
+
+def _random_base(rng: random.Random, m: int) -> tuple[int, ...]:
+    adj = [0] * m
+    p = rng.random()
+    for v in range(m):
+        for u in range(v):
+            if rng.random() < p:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    return tuple(adj)
+
+
+def test_subset_sum_matches_both_counters_on_random_bases():
+    # Any base and any neighbour set: the extension need not be connected,
+    # nor the new vertex of maximum degree.  One memo serves each base.
+    rng = random.Random(0x5B5E7)
+    for _ in range(60):
+        m = rng.randint(0, 12)
+        base = _random_base(rng, m)
+        terms: dict[int, tuple[int, int]] = {}
+        for nbrs in {0, (1 << m) - 1, *(rng.getrandbits(m) for _ in range(4))}:
+            score = _new_vertex_score(base, nbrs, terms)
+            assert score == _count_through_new(base, nbrs)
+            g = Graph(m + 1, _extend(base, nbrs))
+            assert score == _value_and_derivative(oracle_esu_counts(g, 1 << m))
+
+
 def _inject(monkeypatch, extensions):
-    monkeypatch.setattr(verify_module, "_max_degree_extensions", lambda order: iter(extensions))
+    pairs = [(base, nbrs) for base, nbrs, _ in extensions]
+    monkeypatch.setattr(verify_module, "_max_degree_extensions", lambda order: iter(pairs))
 
 
 # Order-4 extensions of the path 0-1-2: the new vertex 3 on the middle vertex

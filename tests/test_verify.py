@@ -26,6 +26,7 @@ from cographmean import (
     verify_table1,
     verify_table2,
 )
+from cographmean import knapsack as knapsack_module
 from cographmean import verify as verify_module
 from cographmean.cli import main
 from cographmean.enumeration import enumerate_caterpillars
@@ -370,8 +371,10 @@ def test_disconnected_max_checks_closed_form_mean_from_order_8(monkeypatch):
 
 def test_cotree_winner_mean_is_rechecked_by_phi_cotree(monkeypatch):
     """DISCONNECTED_MAX pins no mean below order 8, so at order 5 only the
-    phi_cotree recheck can catch a knapsack winner carrying a wrong mean."""
-    real = verify_module.extremal_cotrees
+    phi_cotree recheck can catch a knapsack winner carrying a wrong mean.
+    ``knapsack_search`` imports the knapsack when called, so the patch goes
+    on the knapsack module."""
+    real = knapsack_module.extremal_cotrees
 
     def wrong_mean_at_5(n, connectivity, maximize):
         winners, gap = real(n, connectivity, maximize)
@@ -380,7 +383,7 @@ def test_cotree_winner_mean_is_rechecked_by_phi_cotree(monkeypatch):
             winners = ((form, mean + Fraction(1, 7)),)
         return winners, gap
 
-    monkeypatch.setattr(verify_module, "extremal_cotrees", wrong_mean_at_5)
+    monkeypatch.setattr(knapsack_module, "extremal_cotrees", wrong_mean_at_5)
     assert DISCONNECTED_MAX.expected_mean(5) is None
     verdict = run_claim(DISCONNECTED_MAX, 6)
     assert verdict.status == "FAIL"
