@@ -74,24 +74,26 @@ _EXPORTS = {
         "phi_local_bruteforce",
         "phi_local_cotree",
     ),
+    "sweeps": (
+        "LocalCounterexample",
+        "find_local_counterexample",
+        "verify_inequality_sweeps",
+        "verify_local_counterexample",
+        "verify_structural_theorems",
+    ),
+    "verdict": ("TheoremVerdict",),
     "verify": (
         "ExtremalReport",
-        "LocalCounterexample",
         "Objective",
-        "TheoremVerdict",
         "extremal_search",
-        "find_local_counterexample",
         "grid_graph",
         "max_mean_connected_cograph",
         "path_graph",
         "theta_graph",
         "verify_disconnected_max",
-        "verify_inequality_sweeps",
-        "verify_local_counterexample",
         "verify_path_min_conjecture",
         "verify_skillet_min",
         "verify_star_max",
-        "verify_structural_theorems",
         "verify_table1",
         "verify_table2",
     ),

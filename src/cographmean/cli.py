@@ -8,8 +8,9 @@ graph6.  All numeric output is exact
 approximation.  Exit codes: 0 all good, 1 verification failure, 2
 usage/parse error, 141 stdout closed by the reader.
 
-``json`` and the ``verify`` module are imported by the commands that use
-them, so a ``mean`` or ``reliability`` process loads neither.
+``json`` and the ``verify`` and ``sweeps`` modules are imported by the
+suites that use them, so a ``mean`` or ``reliability`` process loads none
+of them.
 """
 
 from __future__ import annotations
@@ -210,21 +211,23 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-# suite -> (default --nmax, runner).  A runner takes the ``verify`` module,
-# which only ``_cmd_verify`` imports, and the order cap.  The key order is
-# the order of ``verify all``.
+# suite -> (default --nmax, module, runner).  A runner takes its module,
+# which only ``_cmd_verify`` imports (``verify`` for the extremal claims,
+# ``sweeps`` for the sweeps), and the order cap.  The key order is the
+# order of ``verify all``.
 _SUITES = {
-    "table1": (6, lambda v, n: [v.verify_table1(n)]),
-    "table2": (7, lambda v, n: [v.verify_table2(n)]),
-    "skillet-min": (12, lambda v, n: [v.verify_skillet_min(n)]),
-    "star-max": (12, lambda v, n: [v.verify_star_max(n)]),
-    "disconnected-max": (10, lambda v, n: [v.verify_disconnected_max(n)]),
+    "table1": (6, "verify", lambda v, n: [v.verify_table1(n)]),
+    "table2": (7, "verify", lambda v, n: [v.verify_table2(n)]),
+    "skillet-min": (12, "verify", lambda v, n: [v.verify_skillet_min(n)]),
+    "star-max": (12, "verify", lambda v, n: [v.verify_star_max(n)]),
+    "disconnected-max": (10, "verify", lambda v, n: [v.verify_disconnected_max(n)]),
     "local-mean": (
         8,
-        lambda v, n: v.verify_structural_theorems(n) + [v.verify_local_counterexample()],
+        "sweeps",
+        lambda s, n: s.verify_structural_theorems(n) + [s.verify_local_counterexample()],
     ),
-    "inequalities": (64, lambda v, n: v.verify_inequality_sweeps(n)),
-    "path-conjecture": (7, lambda v, n: [v.verify_path_min_conjecture(n)]),
+    "inequalities": (64, "sweeps", lambda s, n: s.verify_inequality_sweeps(n)),
+    "path-conjecture": (7, "verify", lambda v, n: [v.verify_path_min_conjecture(n)]),
 }
 
 
@@ -250,15 +253,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     output_format = _output_format(args)
     import json
 
-    from . import verify
-
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     suites = []
     all_pass = True
     for name in names:
-        default_nmax, runner = _SUITES[name]
+        default_nmax, module, runner = _SUITES[name]
         nmax = default_nmax if args.nmax is None else args.nmax
-        verdicts = runner(verify, nmax)
+        # ``from . import <module>``, which -X importtime reports (import_module is not)
+        verdicts = runner(getattr(__import__(__package__, fromlist=[module]), module), nmax)
         suites.append(
             {
                 "suite": name,

@@ -15,13 +15,15 @@ is H(n) plus the same knapsack over the leaf and the Union-rooted trees,
 each less H(s).  Dinkelbach's method (Dinkelbach 1967, "On nonlinear
 fractional programming", Management Science 13(7)) moves λ to the mean of
 the best tree until the best score is 0; λ is then the extremal mean, and
-the trees scoring 0 are the winners.
+the trees scoring 0 are the winners.  The method may start at any λ, so a
+search can start at a claimed extreme, which one table then certifies.
 
 Every table cell keeps its top ``keep`` entries (w, V, D), one per tree, so
 ties count with multiplicity.  The winners are rebuilt from the tables'
 best values, and the runner-up mean comes from a second Dinkelbach run
 over every tree that is not a winner, with one more entry kept than there
-are winners.  All arithmetic is on integers; means are Fractions.
+are winners, started at the mean of the second entry of the first run's
+last table.  All arithmetic is on integers; means are Fractions.
 """
 
 from __future__ import annotations
@@ -177,33 +179,44 @@ def _dinkelbach(
     keep: int,
     lam: Fraction,
     excluded: Fraction | None,
-) -> tuple[_Tables, Entry | None]:
+) -> tuple[_Tables, list[Entry]]:
     """The tables at the extremal λ over trees whose mean is not
-    ``excluded``, and the entry of one tree attaining it (None if there is
-    no such tree)."""
+    ``excluded``, and the top ``keep`` entries there, less the excluded
+    ones; the first attains λ (no entries if no tree is left).
+
+    Any start works.  After the first table λ is some tree's mean, and each
+    table's top tree has a strictly better mean than λ until the top score
+    is exactly 0, which happens at the extreme and nowhere else.
+    """
     while True:
         tables = _Tables(n, lam, sign, keep)
-        entry = next(
-            (e for e in tables.family(connectivity, keep) if _mean(e) != excluded), None
-        )
-        if entry is None or entry[0] == 0:
-            return tables, entry
-        lam = _mean(entry)
+        entries = [e for e in tables.family(connectivity, keep) if _mean(e) != excluded]
+        if not entries or entries[0][0] == 0:
+            return tables, entries
+        lam = _mean(entries[0])
 
 
 def extremal_cotrees(
-    n: int, connectivity: str, maximize: bool
+    n: int, connectivity: str, maximize: bool, start: Fraction | None = None
 ) -> tuple[tuple[tuple[str, Fraction], ...], Fraction | None]:
     """The winners, as (printed form, mean) sorted by form, and the gap to
     the best strictly worse mean (None if every tree is a winner), of the
     global mean over the order-n cotrees that are "connected",
-    "disconnected" or "all"."""
+    "disconnected" or "all".
+
+    The search starts at λ = ``start`` (0 if None).  Started at the
+    extremal mean, it needs one table to certify it, and that table's
+    second entry, the best-scoring other tree, seeds the runner-up search.
+    """
     sign = 1 if maximize else -1
-    tables, top = _dinkelbach(n, connectivity, sign, 1, Fraction(0), None)
-    if top is None:
+    lam = Fraction(0) if start is None else start
+    tables, top = _dinkelbach(n, connectivity, sign, 2, lam, None)
+    if not top:
         return (), None
-    best = _mean(top)
+    best = _mean(top[0])
     forms = sorted(tree.form for tree in tables.best_family_trees(connectivity))
-    _, runner_up = _dinkelbach(n, connectivity, sign, len(forms) + 1, best, best)
-    gap = None if runner_up is None else abs(best - _mean(runner_up))
-    return tuple((form, best) for form in forms), gap
+    winners = tuple((form, best) for form in forms)
+    if len(top) == 1:  # a family of one tree has no runner-up
+        return winners, None
+    _, runner_up = _dinkelbach(n, connectivity, sign, len(forms) + 1, _mean(top[1]), best)
+    return winners, None if not runner_up else abs(best - _mean(runner_up[0]))

@@ -333,8 +333,8 @@ def closed_form_psi(s: int, n: int) -> tuple[int, int]:
     """
     if not 1 <= s <= n - 1:
         raise RangeError(f"need 1 <= s <= n-1, got s={s}, n={n}")
-    value = 2**n - 2 ** (n - s) - 2**s + 1
-    deriv = n * 2 ** (n - 1) - s * 2 ** (s - 1) - (n - s) * 2 ** (n - s - 1)
+    value = (1 << n) - (1 << (n - s)) - (1 << s) + 1
+    deriv = (n << (n - 1)) - (s << (s - 1)) - ((n - s) << (n - s - 1))
     return value, deriv
 
 

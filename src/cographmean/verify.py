@@ -1,4 +1,4 @@
-"""Extremal searches and mechanical checks of the library's headline facts.
+"""Extremal searches and the paper's extremal claims.
 
 Every check here is exact: means are compared as rationals, never within a
 tolerance.  Searches cover whole isomorphism-class families: connected
@@ -6,25 +6,21 @@ graphs by scoring the one-vertex extensions of the classes one order down,
 without deduplicating them (:func:`graph_search`), each as its base's
 connected-set count plus a subset sum for the new vertex; cotree families
 by the exact fractional knapsack of :mod:`cographmean.knapsack`, which
-never lists them and is imported only when a cotree family is searched.
-:func:`extremal_search`, which scores each enumerated class once, is kept
-as their test oracle.  All report all tied winners and treat every
-uniqueness claim as an assertion to test, not an assumption.  Inequality
-sweeps use closed forms so they reach orders far past enumeration range;
-below each inequality's stated threshold the sweep records what actually
-happens instead of failing.
+never lists them, starts at the claimed mean and is imported only when a
+cotree family is searched.  :func:`extremal_search`, which scores each
+enumerated class once, is kept as their test oracle.  All report all tied
+winners and treat every uniqueness claim as an assertion to test, not an
+assumption.  The inequality and structural sweeps and the local-mean
+counterexample live in :mod:`cographmean.sweeps`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterator
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
-from math import comb
 
 from .cotree import (
-    LEAF,
     UNION,
     Cotree,
     LEAF_TREE,
@@ -38,18 +34,15 @@ from .cotree import (
     star,
 )
 from .enumeration import (
-    MAX_CATERPILLAR_ORDER,
     _COTREE_FILTER,
     Family,
     GeneratorSpec,
     _extend,
     _max_degree_extensions,
     canonical_graph,
-    enumerate_caterpillars,
-    enumerate_cotrees,
     generate,
 )
-from .errors import NoWitnessFound, OrderOutOfRange, RangeError
+from .errors import OrderOutOfRange, RangeError
 from .graph import (
     MAX_ORDER,
     Graph,
@@ -57,21 +50,16 @@ from .graph import (
     connected_components,
     emit_graph6,
     from_edge_list,
-    iter_bits,
 )
 from .poly import (
     MeanFamily,
-    SubgraphPolynomial,
     _count_connected,
-    _phi_local_leaves,
     closed_form_means,
-    closed_form_psi,
     global_mean,
-    mstar_mean,
     phi_bruteforce,
     phi_cotree,
-    phi_local_bruteforce,
 )
+from .verdict import TheoremVerdict
 
 
 class Objective(str, Enum):
@@ -107,49 +95,6 @@ class ExtremalReport(Value):
         return self._asdict() | {
             "winners": [{"form": form, "mean": str(mean)} for form, mean in self.winners],
             "runner_up_gap": None if gap is None else str(gap),
-        }
-
-
-class TheoremVerdict(Value):
-    """PASS/FAIL outcome of one mechanical check, with a reproducible trail."""
-
-    __slots__ = _fields = ("theorem", "parameter_range", "status", "witness", "log")
-
-    def __init__(
-        self, theorem: str, parameter_range: str, status: str,
-        witness: dict | None = None, log: tuple[str, ...] = (),
-    ):
-        self._store(theorem, parameter_range, status, witness, log)
-
-    @property
-    def passed(self) -> bool:
-        return self.status == "PASS"
-
-    def to_json_dict(self) -> dict:
-        return self._asdict() | {"log": list(self.log)}
-
-
-class LocalCounterexample(Value):
-    """A graph with a vertex whose local mean falls below the global mean."""
-
-    __slots__ = _fields = (
-        "graph", "vertex", "global_mean", "local_mean", "base_tree", "base_tree_mean"
-    )
-
-    def __init__(
-        self, graph: Graph, vertex: int, global_mean: Fraction, local_mean: Fraction,
-        base_tree: Graph, base_tree_mean: Fraction,
-    ):
-        self._store(graph, vertex, global_mean, local_mean, base_tree, base_tree_mean)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "graph6": emit_graph6(self.graph),
-            "vertex": self.vertex,
-            "global_mean": str(self.global_mean),
-            "local_mean": str(self.local_mean),
-            "base_tree_graph6": emit_graph6(self.base_tree),
-            "base_tree_mean": str(self.base_tree_mean),
         }
 
 
@@ -264,16 +209,20 @@ def extremal_search(spec: GeneratorSpec, objective: Objective) -> ExtremalReport
     )
 
 
-def knapsack_search(spec: GeneratorSpec, objective: Objective) -> ExtremalReport:
+def knapsack_search(
+    spec: GeneratorSpec, objective: Objective, start: Fraction | None = None
+) -> ExtremalReport:
     """The report :func:`extremal_search` gives on a cotree family, computed
     by :func:`~cographmean.knapsack.extremal_cotrees` without enumerating
-    the family."""
+    the family.  ``start`` is a guess at the extremal mean, where the search
+    begins; any guess gives the same report, and the right one the fewest
+    knapsack tables."""
     from .knapsack import extremal_cotrees
 
     objective = Objective(objective)
     family = Family(spec.family)
     winners, gap = extremal_cotrees(
-        spec.order, _COTREE_FILTER[family], objective is Objective.GLOBAL_MEAN_MAX
+        spec.order, _COTREE_FILTER[family], objective is Objective.GLOBAL_MEAN_MAX, start
     )
     return ExtremalReport(
         family=family.value,
@@ -429,8 +378,9 @@ class ExtremalClaim(Value):
     """At every order n in ``lo..n_max``, ``objective`` over ``family`` has
     exactly one winner, printed as ``expected_form(n)``, with mean
     ``expected_mean(n)`` unless that is None.  On cotree families the
-    report comes from :func:`knapsack_search`, and the winner's mean is
-    also recomputed from its tree by :func:`~cographmean.poly.phi_cotree`.
+    report comes from :func:`knapsack_search`, started at
+    ``expected_mean(n)``, and the winner's mean is also recomputed from its
+    tree by :func:`~cographmean.poly.phi_cotree`.
     ``range_label`` names the sweep when n_max is outside lo..hi."""
 
     __slots__ = _fields = (
@@ -456,16 +406,19 @@ def run_claim(claim: ExtremalClaim, n_max: int) -> TheoremVerdict:
         raise OrderOutOfRange(
             f"{claim.range_label} supports {claim.lo}..{claim.hi}, got {n_max}"
         )
-    search = knapsack_search if claim.family in _COTREE_FILTER else graph_search
+    cotrees = claim.family in _COTREE_FILTER
     log, witness = [], None
     for n in range(claim.lo, n_max + 1):
-        report = search(GeneratorSpec(claim.family, n), claim.objective)
-        expected_mean = claim.expected_mean(n)
+        spec, expected_mean = GeneratorSpec(claim.family, n), claim.expected_mean(n)
+        if cotrees:
+            report = knapsack_search(spec, claim.objective, expected_mean)
+        else:
+            report = graph_search(spec, claim.objective)
         if not (
             report.is_unique
             and report.winner_form == claim.expected_form(n)
             and (expected_mean is None or report.winner_mean == expected_mean)
-            and (claim.family not in _COTREE_FILTER or _recheck_by_phi_cotree(report))
+            and (not cotrees or _recheck_by_phi_cotree(report))
         ):
             witness = {"order": n, "report": report.to_json_dict()}
             break
@@ -529,9 +482,11 @@ TABLE1 = ExtremalClaim(
 )
 
 # The cotree claims below reach the largest graph order, 64.  At that order,
-# on a 2-core host, `verify star-max --nmax 64` took 3.7-4.7 s, `skillet-min`
-# 4.1-5.8 s and `disconnected-max` 4.8-5.0 s, each under 27 MB peak RSS; the
-# phi_cotree recheck takes under 0.03 s of each, the knapsack nearly all the rest.
+# on a 2-core host, in three fresh processes each, `verify star-max --nmax 64`
+# took 1.8-2.0 s, `skillet-min` 3.8-3.9 s and `disconnected-max` 1.8-2.6 s,
+# each under 26 MB peak RSS; the phi_cotree recheck takes under 0.03 s of
+# each, the knapsack nearly all the rest.  Started at the claimed mean, the
+# knapsack builds two tables per order for the star, three for the skillet.
 STAR_MAX = ExtremalClaim(
     theorem="star-unique-max-connected-cographs",
     family=Family.CONNECTED_COGRAPHS,
@@ -638,488 +593,3 @@ def verify_table2(n_max: int = 7) -> TheoremVerdict:
 def verify_path_min_conjecture(n_max: int = 7) -> TheoremVerdict:
     """The path is the unique minimum-mean connected graph up to n_max."""
     return run_claim(PATH_MIN, n_max)
-
-
-# ---------------------------------------------------------------------------
-# sweeps: one record per checked statement, one runner for all of them
-# ---------------------------------------------------------------------------
-
-
-class Sweep(Value):
-    """A statement checked over a parameter range.  ``rows(n_max)`` yields a
-    dict for each failure and a string for each log line; ``range_label`` is
-    a format string that takes ``n_max``."""
-
-    __slots__ = _fields = ("theorem", "range_label", "rows")
-
-    def __init__(
-        self, theorem: str, range_label: str, rows: Callable[[int], Iterator[dict | str]]
-    ):
-        self._store(theorem, range_label, rows)
-
-
-def run_sweep(sweep: Sweep, n_max: int) -> TheoremVerdict:
-    """PASS unless ``sweep`` yields a failure row; every failure is kept."""
-    failures, log = [], []
-    for row in sweep.rows(n_max):
-        (log if isinstance(row, str) else failures).append(row)
-    return TheoremVerdict(
-        theorem=sweep.theorem,
-        parameter_range=sweep.range_label.format(n_max=n_max),
-        status="PASS" if not failures else "FAIL",
-        witness={"failures": failures} if failures else None,
-        log=tuple(log),
-    )
-
-
-def _misses(
-    holds: Callable[..., bool], points: Iterable[tuple[int, ...]], **extra: str
-) -> Iterator[dict]:
-    """A failure row for each point, ``(n,)`` or ``(n, s)``, where ``holds``
-    is false."""
-    for point in points:
-        if not holds(*point):
-            yield {**dict(zip(("n", "s"), point)), **extra}
-
-
-def _below_threshold(holds: Callable[[int], bool], threshold: int) -> Iterator[str]:
-    """Log lines for n=4..threshold-1, where the statement is not claimed."""
-    for n in range(4, threshold):
-        yield f"n={n} below threshold: {'holds' if holds(n) else 'fails'}"
-
-
-# ---------------------------------------------------------------------------
-# closed-form inequality sweeps
-# ---------------------------------------------------------------------------
-
-
-# A sweep asks for a point again right after it: the next s, or the star at
-# each s.  Two entries serve those repeats; holding every point (3,038 at
-# n_max = 64) would also spare the repeats across sweeps, for 0.36 MB more
-# peak RSS in ``verify inequalities``.
-@lru_cache(maxsize=2)
-def _bipartite_mean(s: int, n: int) -> Fraction:
-    value, deriv = closed_form_psi(s, n)
-    return Fraction(n + deriv, n + value)
-
-
-@lru_cache(maxsize=2)
-def _bipartite_mstar(s: int, n: int) -> Fraction:
-    return closed_form_means(MeanFamily.COMPLETE_BIPARTITE_MSTAR, n, s)
-
-
-def _star_mstar(n: int) -> Fraction:
-    """M* mean of the star on n vertices (0 for the single vertex).
-
-    STAR_MSTAR indexes the star K_{1,n-3}, on n-2 vertices, by the
-    ambient order n; hence the shift by two.
-    """
-    if n == 1:
-        return Fraction(0)
-    return closed_form_means(MeanFamily.STAR_MSTAR, n + 2)
-
-
-def _mstar_balance_rows(n_max: int) -> Iterator[dict | str]:
-    # M* of complete bipartite graphs decreases as the parts balance,
-    # so the star tops every order.
-    yield from _misses(
-        lambda n, s: _bipartite_mstar(s, n) > _bipartite_mstar(s + 1, n),
-        ((n, s) for n in range(4, n_max + 1) for s in range(1, n // 2)),
-    )
-    yield from _misses(
-        lambda n, s: _bipartite_mstar(1, n) >= _bipartite_mstar(s, n),
-        ((n, s) for n in range(2, n_max + 1) for s in range(2, n)),
-        clause="star-top",
-    )
-
-
-def _star_mstar_rows(n_max: int) -> Iterator[dict | str]:
-    # The star's M* mean increases with order and sits in ((n+1)/2, (n+2)/2].
-    yield from _misses(
-        lambda n: _star_mstar(n + 1) > _star_mstar(n),
-        ((n,) for n in range(1, n_max)),
-        clause="increasing",
-    )
-    orders = [(n,) for n in range(2, n_max + 1)]
-    yield from _misses(
-        lambda n: Fraction(n + 1, 2) < _star_mstar(n) <= Fraction(n + 2, 2),
-        orders,
-        clause="bounds",
-    )
-    yield from _misses(
-        lambda n: _star_mstar(n) == _bipartite_mstar(1, n),
-        orders,
-        clause="psi-consistency",
-    )
-    yield f"values: n=1: {_star_mstar(1)}, n=2: {_star_mstar(2)}"
-
-
-def _star_beats_two_rows(n_max: int) -> Iterator[dict | str]:
-    # Global means of complete bipartite graphs: the star beats the
-    # two-per-part split from order 7 on.
-    for n in range(4, 7):
-        star_mean, two_mean = _bipartite_mean(1, n), _bipartite_mean(2, n)
-        yield (
-            f"n={n} below threshold: star "
-            f"{'beats' if star_mean > two_mean else 'loses to'} "
-            f"two-per-part split ({star_mean} vs {two_mean})"
-        )
-    yield from _misses(
-        lambda n: _bipartite_mean(1, n) > _bipartite_mean(2, n),
-        ((n,) for n in range(7, n_max + 1)),
-    )
-
-
-def _two_rest_rows(n_max: int) -> Iterator[dict | str]:
-    # M* of K_{2,n-3} (order n-1) never exceeds the complete graph's mean at
-    # order n, once n >= 6.
-    yield from _below_threshold(
-        lambda n: _bipartite_mstar(2, n - 1)
-        <= closed_form_means(MeanFamily.COMPLETE, n),
-        6,
-    )
-    for n in range(6, n_max + 1):
-        lhs = _bipartite_mstar(2, n - 1)
-        rhs = closed_form_means(MeanFamily.COMPLETE, n)
-        if not lhs <= rhs:
-            yield {"n": n}
-        elif lhs == rhs:
-            yield f"n={n}: equality ({lhs})"
-
-
-def _k1_plus_star_beats(
-    rival: MeanFamily, threshold: int
-) -> Callable[[int], Iterator[dict | str]]:
-    """Rows of "K1 u K_{1,n-2} has a larger mean than ``rival`` from
-    ``threshold`` on", with the orders below logged."""
-
-    def holds(n: int) -> bool:
-        return closed_form_means(rival, n) < closed_form_means(
-            MeanFamily.K1_UNION_STAR, n
-        )
-
-    def rows(n_max: int) -> Iterator[dict | str]:
-        yield from _below_threshold(holds, threshold)
-        yield from _misses(holds, ((n,) for n in range(threshold, n_max + 1)))
-
-    return rows
-
-
-INEQUALITIES = (
-    Sweep(
-        "bipartite-mstar-balance-decreasing",
-        "n=4..{n_max}, s=1..floor(n/2)-1 (star-top clause n=2..{n_max})",
-        _mstar_balance_rows,
-    ),
-    Sweep("star-mstar-increasing-and-bounded", "n=1..{n_max}", _star_mstar_rows),
-    Sweep(
-        "bipartite-mean-star-beats-two",
-        "n=7..{n_max} (boundary 4..6 logged)",
-        _star_beats_two_rows,
-    ),
-    # ... and for n >= 6 the mean keeps decreasing as the parts balance.
-    Sweep(
-        "bipartite-mean-balance-decreasing",
-        "n=6..{n_max}, s=2..floor(n/2)-1",
-        lambda n_max: _misses(
-            lambda n, s: _bipartite_mean(s, n) > _bipartite_mean(s + 1, n),
-            ((n, s) for n in range(6, n_max + 1) for s in range(2, n // 2)),
-        ),
-    ),
-    # The skillet's mean stays below the complete graph's.
-    Sweep(
-        "skillet-mean-below-complete",
-        "n=3..{n_max}",
-        lambda n_max: _misses(
-            lambda n: closed_form_means(MeanFamily.SKILLET, n)
-            < closed_form_means(MeanFamily.COMPLETE, n),
-            ((n,) for n in range(3, n_max + 1)),
-        ),
-    ),
-    # Complete bipartite M* means sit above half the order.
-    Sweep(
-        "bipartite-mstar-above-half-order",
-        "n=2..{n_max}, s=1..n-1",
-        lambda n_max: _misses(
-            lambda n, s: _bipartite_mstar(s, n) > Fraction(n, 2),
-            ((n, s) for n in range(2, n_max + 1) for s in range(1, n)),
-        ),
-    ),
-    Sweep(
-        "mstar-two-rest-at-most-complete",
-        "n=6..{n_max} (boundary 4..5 logged)",
-        _two_rest_rows,
-    ),
-    # An isolated vertex plus a spanning star dominates three rivals.
-    *(
-        Sweep(
-            theorem,
-            f"n={threshold}..{{n_max}} (boundary 4..{threshold - 1} logged)",
-            _k1_plus_star_beats(rival, threshold),
-        )
-        for theorem, rival, threshold in (
-            ("k1-plus-star-beats-star-mstar", MeanFamily.STAR_MSTAR, 8),
-            ("k1-plus-star-beats-k2-rest-mean", MeanFamily.K_2_N3, 9),
-            ("k1-plus-star-beats-small-star-mean", MeanFamily.STAR_N3, 4),
-        )
-    ),
-)
-
-
-# The sweeps' rationals grow with n, so their cost grows faster than
-# n_max^2: ``cographmean verify inequalities --nmax 512`` took 3.5-3.9 s and
-# 17 MB peak RSS in a fresh process on a 2-core host, 640 took 6.5-7.5 s.
-MAX_INEQUALITY_ORDER = 512
-
-
-def verify_inequality_sweeps(n_max: int = 64) -> list[TheoremVerdict]:
-    """Exact-rational sweeps of every closed-form inequality up to n_max.
-
-    Each inequality must hold from its stated threshold onward; rows below
-    the threshold are evaluated and logged, never failed.
-    """
-    if not 9 <= n_max <= MAX_INEQUALITY_ORDER:
-        raise RangeError(
-            f"inequality sweeps support n_max in 9..{MAX_INEQUALITY_ORDER}, got {n_max}"
-        )
-    return [run_sweep(sweep, n_max) for sweep in INEQUALITIES]
-
-
-# ---------------------------------------------------------------------------
-# exhaustive structural checks over cograph families
-# ---------------------------------------------------------------------------
-
-
-def _star_max_mstar_rows(n_max: int) -> Iterator[dict | str]:
-    # The star has the strictly largest M* mean among all cographs per order.
-    for n in range(1, n_max + 1):
-        bound = mstar_mean(phi_cotree(star(n)))
-        ties = []
-        for t in enumerate_cotrees(n, "all"):
-            value = mstar_mean(phi_cotree(t))
-            if value > bound:
-                yield {"n": n, "form": format_cotree(t), "mstar": str(value)}
-            elif value == bound:
-                ties.append(format_cotree(t))
-        if ties != [format_cotree(star(n))]:
-            yield {"n": n, "equality_set": ties}
-
-
-def _local_floor_rows(n_max: int) -> Iterator[dict | str]:
-    # Every vertex of a connected cograph has local mean at least (n+1)/2,
-    # with equality achieved (universal vertices sit exactly on the floor).
-    # A local mean D/V is compared as 2D against (n+1)V.
-    equality_hits = 0
-    for n in range(1, n_max + 1):
-        for t in enumerate_cotrees(n, "connected"):
-            for leaf, p in enumerate(_phi_local_leaves(t)):
-                twice, floor = 2 * p.derivative_at_one(), (n + 1) * p.value_at_one()
-                if twice < floor:
-                    yield {"n": n, "form": format_cotree(t), "vertex": leaf,
-                           "local_mean": str(global_mean(p))}
-                elif twice == floor and n >= 2:
-                    equality_hits += 1
-    if equality_hits == 0:
-        yield {"clause": "no equality witness observed"}
-    yield f"equality witnesses (n>=2): {equality_hits}"
-
-
-def _local_dominates_rows(n_max: int) -> Iterator[dict | str]:
-    # Local means dominate the global mean on connected cographs; only the
-    # single vertex achieves equality.  D_v/V_v against D/V is D_v V vs D V_v.
-    for n in range(1, n_max + 1):
-        for t in enumerate_cotrees(n, "connected"):
-            g = phi_cotree(t)
-            value, deriv = g.value_at_one(), g.derivative_at_one()
-            for leaf, p in enumerate(_phi_local_leaves(t)):
-                local, whole = p.derivative_at_one() * value, deriv * p.value_at_one()
-                if local < whole or (local == whole and n >= 2):
-                    yield {"n": n, "form": format_cotree(t), "vertex": leaf,
-                           "local_mean": str(global_mean(p)),
-                           "global_mean": str(global_mean(g))}
-
-
-def _cut_leaf(t: Cotree) -> int | None:
-    """The leaf whose removal disconnects a connected canonical cotree, if any:
-    only a root Join of a single leaf (sorted first) and a Union has one."""
-    kids = t.children
-    cut = len(kids) == 2 and kids[0].kind == LEAF and kids[1].kind == UNION
-    return 0 if cut else None
-
-
-def _biconnected_surplus_rows(n_max: int) -> Iterator[dict | str]:
-    # Every 2-connected cograph has a vertex contained in more connected
-    # subgraphs than its removal leaves behind.  Each connected set either
-    # holds v or is one of G - v, so Phi_{G-v}(1) = Phi_G(1) - L_v(1).
-    checked = 0
-    for n in range(4, n_max + 1):
-        for t in enumerate_cotrees(n, "connected"):
-            if _cut_leaf(t) is not None:
-                continue
-            checked += 1
-            total = phi_cotree(t).value_at_one()
-            if not any(2 * p.value_at_one() > total for p in _phi_local_leaves(t)):
-                yield {"n": n, "form": format_cotree(t)}
-    yield f"2-connected cographs checked: {checked}"
-
-
-def _connected_mean_growth_rows(n_max: int) -> Iterator[dict | str]:
-    # Means of connected cographs strictly exceed those of all smaller
-    # cographs, connected or not.
-    def means(n: int, connectivity: str) -> Iterator[Fraction]:
-        return (global_mean(phi_cotree(t)) for t in enumerate_cotrees(n, connectivity))
-
-    min_connected = {n: min(means(n, "connected")) for n in range(1, n_max + 1)}
-    max_any = {n: max(means(n, "all")) for n in range(1, n_max + 1)}
-    for n in range(2, n_max + 1):
-        for m in range(1, n):
-            if not min_connected[n] > max_any[m]:
-                yield {"n": n, "m": m}
-
-
-def _component_cap_rows(n_max: int) -> Iterator[dict | str]:
-    # A cograph whose components all have order at most s has mean at most
-    # (s+1)/2, with equality exactly when s = 1.
-    for n in range(1, n_max + 1):
-        for t in enumerate_cotrees(n, "all"):
-            s = max(c.leaf_count for c in t.children) if t.kind == UNION else n
-            bound = Fraction(s + 1, 2)
-            value = global_mean(phi_cotree(t))
-            if value > bound or (value == bound) != (s == 1):
-                yield {"n": n, "form": format_cotree(t), "mean": str(value), "s": s}
-
-
-STRUCTURAL = (
-    Sweep("star-unique-max-mstar-all-cographs", "n=1..{n_max}", _star_max_mstar_rows),
-    Sweep("local-mean-at-least-half-order-plus", "n=1..{n_max}", _local_floor_rows),
-    Sweep("local-mean-dominates-global", "n=1..{n_max}", _local_dominates_rows),
-    Sweep(
-        "biconnected-has-vertex-with-subgraph-surplus",
-        "n=4..{n_max}",
-        _biconnected_surplus_rows,
-    ),
-    Sweep(
-        "connected-mean-grows-with-order",
-        "2<=m<n<={n_max}",
-        _connected_mean_growth_rows,
-    ),
-    Sweep("component-order-caps-mean", "n=1..{n_max}", _component_cap_rows),
-)
-
-
-def verify_structural_theorems(n_max: int = 8) -> list[TheoremVerdict]:
-    """Exhaustive per-vertex and per-graph checks over all cographs <= n_max."""
-    # ``cographmean verify local-mean --nmax 9`` takes 0.30 s (median of 10
-    # fresh processes, quartiles 0.27-0.34 s) and 17.7 MB peak RSS on a 2-core host.
-    if not 2 <= n_max <= 9:
-        raise RangeError(f"structural checks support n_max in 2..9, got {n_max}")
-    return [run_sweep(sweep, n_max) for sweep in STRUCTURAL]
-
-
-# ---------------------------------------------------------------------------
-# local/global counterexample construction
-# ---------------------------------------------------------------------------
-
-
-def _phi_tree(tree: Graph) -> SubgraphPolynomial:
-    """Polynomial of a tree by a DP over subtree sizes, rooted at vertex 0.
-
-    The subtrees whose top vertex is v are v together with, for each child
-    c, nothing or a subtree topped at c, so f_v = x * prod(1 + f_c), and the
-    polynomial is the sum of every f_v.  Each product has the degree of the
-    subtree it covers, which keeps the whole DP at O(n^2).
-    """
-    n = tree.order
-    parent = [0] * n
-    order, seen = [0], 1
-    for v in order:
-        for w in iter_bits(tree.adj[v] & ~seen):
-            seen |= 1 << w
-            parent[w] = v
-            order.append(w)
-    # topped[v][k]: subtrees of k vertices topped at v, over the children folded in
-    topped = [[0, 1] for _ in range(n)]
-    for v in reversed(order[1:]):
-        acc, child = topped[parent[v]], topped[v]
-        grown = acc + [0] * (len(child) - 1)
-        for i, a in enumerate(acc):
-            for j in range(1, len(child)):
-                grown[i + j] += a * child[j]
-        topped[parent[v]] = grown
-    coeffs = [0] * n
-    for f in topped:
-        for k in range(1, len(f)):
-            coeffs[k - 1] += f[k]
-    return SubgraphPolynomial._make(n, tuple(coeffs))
-
-
-def find_local_counterexample(n: int = 14) -> LocalCounterexample:
-    """A graph of order n with a vertex whose local mean undercuts the global.
-
-    Scans caterpillars one order down for one whose mean exceeds (n+1)/2,
-    then joins a universal vertex to it.  The universal vertex's local
-    polynomial is pinned coefficientwise (it must be x(1+x)^(n-1)), which
-    certifies the local mean of exactly (n+1)/2; the tree's higher mean then
-    drags the global mean strictly above it.  The caterpillars are scored by
-    the tree DP :func:`_phi_tree`; the joined graph is counted by
-    :func:`~cographmean.poly.phi_bruteforce`.
-    """
-    if n < 14:
-        raise RangeError(f"the construction needs order >= 14, got {n}")
-    if n - 1 > MAX_CATERPILLAR_ORDER:
-        raise OrderOutOfRange(
-            f"caterpillar search supports base order <= {MAX_CATERPILLAR_ORDER}"
-        )
-    m = n - 1
-    threshold = Fraction(m + 2, 2)
-    for tree in enumerate_caterpillars(m):
-        tree_mean = global_mean(_phi_tree(tree))
-        if tree_mean <= threshold:
-            continue
-        adj = tuple(a | 1 << m for a in tree.adj) + ((1 << m) - 1,)
-        g = Graph(n, adj)
-        g_mean = global_mean(phi_bruteforce(g))
-        local = phi_local_bruteforce(g, m)
-        binomial_row = tuple(comb(n - 1, k - 1) for k in range(1, n + 1))
-        if local.coeffs != binomial_row:
-            raise AssertionError("universal-vertex local polynomial mismatch")
-        local_mean = global_mean(local)
-        if local_mean != Fraction(n + 1, 2):
-            raise AssertionError("universal-vertex local mean mismatch")
-        if not tree_mean > g_mean > local_mean:
-            raise AssertionError("mean ordering certification failed")
-        return LocalCounterexample(
-            graph=g,
-            vertex=m,
-            global_mean=g_mean,
-            local_mean=local_mean,
-            base_tree=tree,
-            base_tree_mean=tree_mean,
-        )
-    raise NoWitnessFound(
-        f"no caterpillar of order {m} has mean above {threshold}"
-    )
-
-
-def verify_local_counterexample(n: int = 14) -> TheoremVerdict:
-    """Wrap the counterexample search as a verdict; absence of a witness is
-    reported as FAIL with the searched range rather than raised."""
-    try:
-        found = find_local_counterexample(n)
-    except NoWitnessFound as exc:
-        return TheoremVerdict(
-            theorem="local-mean-below-global-witness",
-            parameter_range=f"n={n}",
-            status="FAIL",
-            witness={"searched": f"caterpillars of order {n - 1}", "error": str(exc)},
-        )
-    return TheoremVerdict(
-        theorem="local-mean-below-global-witness",
-        parameter_range=f"n={n}",
-        status="PASS",
-        witness=found.to_json_dict(),
-        log=(
-            f"tree mean {found.base_tree_mean} > global {found.global_mean} "
-            f"> local {found.local_mean} at the universal vertex",
-        ),
-    )

@@ -353,6 +353,26 @@ def test_inequalities_nmax_outside_9_to_512_is_usage_error(capsys, nmax):
     assert "9..512" in err
 
 
+@pytest.mark.parametrize("nmax", ["1", "13"])
+def test_local_mean_nmax_outside_2_to_12_is_usage_error(capsys, nmax):
+    code, out, err = run(capsys, "verify", "local-mean", "--nmax", nmax)
+    assert_usage_error(code, out, err)
+    assert "2..12" in err
+
+
+# `verify local-mean --nmax 12`, the top of the structural range; the six
+# structural verdicts at orders 10, 11 and 12 were checked equal to the
+# Fraction-based sweeps before the cap was raised from 9.
+LOCAL_MEAN_12_STDOUT_SHA256 = "02094a02801a74c9088ffaed935b9686032b2fb7e338663225066c836c490cd5"
+
+
+@pytest.mark.slow
+def test_local_mean_passes_at_its_cap(capsys):
+    code, out, _ = run(capsys, "verify", "local-mean", "--nmax", "12")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LOCAL_MEAN_12_STDOUT_SHA256
+
+
 @pytest.mark.slow
 def test_inequalities_pass_at_their_cap(capsys):
     code, out, _ = run(capsys, "verify", "inequalities", "--nmax", "512")
@@ -489,6 +509,7 @@ def test_fresh_verify_and_enumerate_print_what_they_printed_before():
     done, imported = _fresh_cli("verify", "table1")
     assert done.returncode == 0, done.stderr
     assert {"cographmean.verify", "cographmean.knapsack"} <= imported
+    assert "cographmean.sweeps" not in imported
     assert not _UNUSED_STDLIB & imported
     digest = hashlib.sha256(done.stdout.encode()).hexdigest()
     assert digest == VERIFY_STDOUT_SHA256["table1"]
@@ -509,6 +530,33 @@ def test_fresh_connected_graph_suites_do_not_load_the_knapsack(suite):
     assert done.returncode == 0, done.stderr
     assert "cographmean.verify" in imported
     assert "cographmean.knapsack" not in imported
+    assert "cographmean.sweeps" not in imported
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == VERIFY_STDOUT_SHA256[suite]
+
+
+def test_fresh_star_max_does_not_load_the_sweeps():
+    done, imported = _fresh_cli("verify", "star-max", "--nmax", "8")
+    assert done.returncode == 0, done.stderr
+    assert {"cographmean.verify", "cographmean.knapsack"} <= imported
+    assert "cographmean.sweeps" not in imported
+    digest = hashlib.sha256(done.stdout.encode()).hexdigest()
+    assert digest == VERIFY_STDOUT_SHA256["star-max --nmax 8"]
+
+
+@pytest.mark.parametrize("suite", ["local-mean", "inequalities"])
+def test_fresh_sweep_suites_load_neither_the_claims_nor_the_knapsack(suite):
+    done, imported = _fresh_cli("verify", suite)
+    assert done.returncode == 0, done.stderr
+    assert _package_modules(imported) == {
+        "cographmean",
+        "cographmean.cotree",
+        "cographmean.enumeration",
+        "cographmean.errors",
+        "cographmean.graph",
+        "cographmean.poly",
+        "cographmean.sweeps",
+        "cographmean.verdict",
+    }
     assert hashlib.sha256(done.stdout.encode()).hexdigest() == VERIFY_STDOUT_SHA256[suite]
 
 

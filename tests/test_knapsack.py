@@ -10,10 +10,11 @@ from pathlib import Path
 import pytest
 
 import cographmean
-from cographmean import Family, GeneratorSpec, Objective, extremal_search
+from cographmean import ExtremalReport, Family, GeneratorSpec, Objective, extremal_search
+from cographmean import knapsack as knapsack_module
 from cographmean import verify as verify_module
-from cographmean.enumeration import enumerate_cotrees
-from cographmean.knapsack import _Tables
+from cographmean.enumeration import _COTREE_FILTER, enumerate_cotrees
+from cographmean.knapsack import _Tables, extremal_cotrees
 from cographmean.poly import phi_cotree
 from cographmean.verify import (
     DISCONNECTED_MAX,
@@ -84,7 +85,11 @@ def test_wrong_expected_form_fails_alike_on_both_paths(monkeypatch, claim, n_max
         expected_form=lambda n: "L" if n == n_max else claim.expected_form(n)
     )
     by_knapsack = run_claim(wrong, n_max).to_json_dict()
-    monkeypatch.setattr(verify_module, "knapsack_search", extremal_search)
+    monkeypatch.setattr(
+        verify_module,
+        "knapsack_search",
+        lambda spec, objective, start: extremal_search(spec, objective),
+    )
     by_enumeration = run_claim(wrong, n_max).to_json_dict()
     assert by_knapsack["status"] == "FAIL"
     assert by_knapsack["witness"]["order"] == n_max
@@ -105,3 +110,119 @@ def test_cotree_claims_build_no_pool():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["True", "0"]
+
+
+# ---------------------------------------------------------------------------
+# the warm start
+# ---------------------------------------------------------------------------
+
+COTREE_CLAIMS = [TABLE1, STAR_MAX, SKILLET_MIN, DISCONNECTED_MAX]
+
+
+def cold_start(n, connectivity, maximize):
+    """The search as first written: Dinkelbach from λ = 0 keeping one entry,
+    then the runner-up search seeded at the best mean."""
+    sign = 1 if maximize else -1
+
+    def extreme(keep, lam, excluded):
+        while True:
+            tables = knapsack_module._Tables(n, lam, sign, keep)
+            entry = next(
+                (e for e in tables.family(connectivity, keep)
+                 if Fraction(e[2], e[1]) != excluded),
+                None,
+            )
+            if entry is None or entry[0] == 0:
+                return tables, entry
+            lam = Fraction(entry[2], entry[1])
+
+    tables, top = extreme(1, Fraction(0), None)
+    if top is None:
+        return (), None
+    best = Fraction(top[2], top[1])
+    forms = sorted(t.form for t in tables.best_family_trees(connectivity))
+    _, runner_up = extreme(len(forms) + 1, best, best)
+    gap = None if runner_up is None else abs(best - Fraction(runner_up[2], runner_up[1]))
+    return tuple((form, best) for form in forms), gap
+
+
+def _cold_report(claim, n):
+    family = _COTREE_FILTER[claim.family]
+    winners, gap = cold_start(n, family, claim.objective is Objective.GLOBAL_MEAN_MAX)
+    return ExtremalReport(claim.family.value, n, claim.objective.value, winners, gap)
+
+
+def _check_warm_starts(claim, orders, steps):
+    """At each order, the claimed mean (None for no claim) and the true
+    mean one step above and below it give the cold start's report."""
+    for n in orders:
+        spec = GeneratorSpec(claim.family, n)
+        cold = _cold_report(claim, n)
+        truth = cold.winner_mean
+        starts = [claim.expected_mean(n)]
+        starts += [truth + sign * step for step in steps for sign in (1, -1)]
+        for start in starts:
+            assert knapsack_search(spec, claim.objective, start) == cold, (n, start)
+
+
+@pytest.mark.parametrize("claim", COTREE_CLAIMS, ids=lambda c: c.theorem)
+def test_warm_start_gives_the_cold_report(claim):
+    # A whole unit moves the first table's top tree; 2^-20 barely moves λ.
+    orders = range(claim.lo, min(claim.hi, 24) + 1)
+    _check_warm_starts(claim, orders, (Fraction(1), Fraction(1, 1 << 20)))
+
+
+@pytest.mark.slow  # table1 stops at order 6
+@pytest.mark.parametrize("claim", COTREE_CLAIMS[1:], ids=lambda c: c.theorem)
+def test_warm_start_gives_the_cold_report_to_order_64(claim):
+    _check_warm_starts(claim, range(25, claim.hi + 1), (Fraction(1),))
+
+
+@pytest.mark.parametrize("maximize", [True, False])
+@pytest.mark.parametrize("connectivity", ["connected", "disconnected", "all"])
+def test_no_start_gives_the_cold_results(connectivity, maximize):
+    for n in range(1, 13):
+        assert extremal_cotrees(n, connectivity, maximize) == cold_start(
+            n, connectivity, maximize
+        )
+
+
+def _tables_built(monkeypatch):
+    built = []
+
+    class Counted(_Tables):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(knapsack_module, "_Tables", Counted)
+    return built
+
+
+def test_claimed_star_mean_is_certified_with_two_tables(monkeypatch):
+    """At the star's mean the first table certifies the star, and its second
+    entry is the runner-up, which the second table certifies."""
+    built = _tables_built(monkeypatch)
+    for n in range(STAR_MAX.lo, 25):
+        built.clear()
+        spec = GeneratorSpec(STAR_MAX.family, n)
+        report = knapsack_search(spec, STAR_MAX.objective, STAR_MAX.expected_mean(n))
+        assert report.winner_form == STAR_MAX.expected_form(n)
+        assert len(built) == 2, n
+        assert built[0][1] == report.winner_mean
+        assert built[1][1] == report.winner_mean - report.runner_up_gap
+
+
+@pytest.mark.parametrize("claim", COTREE_CLAIMS, ids=lambda c: c.theorem)
+def test_claimed_mean_never_builds_more_tables_than_a_cold_start(monkeypatch, claim):
+    built = _tables_built(monkeypatch)
+    for n in range(claim.lo, min(claim.hi, 16) + 1):
+        family = _COTREE_FILTER[claim.family]
+        maximize = claim.objective is Objective.GLOBAL_MEAN_MAX
+        built.clear()
+        cold_start(n, family, maximize)
+        cold = len(built)
+        built.clear()
+        knapsack_search(GeneratorSpec(claim.family, n), claim.objective, claim.expected_mean(n))
+        assert len(built) <= cold, n
+

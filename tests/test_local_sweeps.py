@@ -1,10 +1,12 @@
 """The per-vertex structural sweeps against the enumerative rows they replace.
 
-``verify`` takes every leaf's local polynomial from one pass per cotree,
-decides the local floor and dominance on integers, and reads 2-connectivity
-and the surplus off the cotree.  The generators below are those sweeps as
-first written: one ``Fraction`` per (tree, leaf) from ``phi_local_cotree``,
-and ``phi_bruteforce`` on each G - v.  They are the oracle.
+``sweeps`` takes every leaf's local value and derivative at 1 from one pass
+per cotree, decides the local floor and dominance on integers, and reads
+2-connectivity and the surplus off the cotree.  The generators below are
+those sweeps as first written: one ``Fraction`` per (tree, leaf) from
+``phi_local_cotree``, and ``phi_bruteforce`` on each G - v.  They are the
+oracle.  Faults are injected at ``sweeps._leaf_pairs``, as the value and
+derivative at 1 of a perturbed polynomial.
 """
 
 import random
@@ -23,7 +25,7 @@ from cographmean import (
     phi_cotree,
     phi_local_cotree,
 )
-from cographmean import verify as verify_module
+from cographmean import sweeps as sweeps_module
 from cographmean.enumeration import enumerate_cotrees
 from cographmean.poly import SubgraphPolynomial, _phi_local_leaves
 
@@ -78,8 +80,8 @@ def bruteforce_surplus_rows(n_max):
 
 
 INTEGER_AND_FRACTION_ROWS = [
-    (verify_module._local_floor_rows, fraction_floor_rows),
-    (verify_module._local_dominates_rows, fraction_dominates_rows),
+    (sweeps_module._local_floor_rows, fraction_floor_rows),
+    (sweeps_module._local_dominates_rows, fraction_dominates_rows),
 ]
 
 
@@ -87,6 +89,10 @@ INTEGER_AND_FRACTION_ROWS = [
 def test_integer_rows_equal_fraction_rows(fast, oracle):
     for n_max in (1, 2, 5, 9):
         assert list(fast(n_max)) == list(oracle(n_max))
+
+
+def as_pair(p):
+    return p.value_at_one(), p.derivative_at_one()
 
 
 def perturbed(t, leaf, p):
@@ -105,11 +111,14 @@ def perturbed(t, leaf, p):
 
 @pytest.mark.parametrize("fast, oracle", INTEGER_AND_FRACTION_ROWS)
 def test_integer_rows_equal_fraction_rows_when_the_sweeps_fail(monkeypatch, fast, oracle):
-    real_leaves = verify_module._phi_local_leaves
+    real_pairs = sweeps_module._leaf_pairs
     monkeypatch.setattr(
-        verify_module,
-        "_phi_local_leaves",
-        lambda t: [perturbed(t, leaf, p) for leaf, p in enumerate(real_leaves(t))],
+        sweeps_module,
+        "_leaf_pairs",
+        lambda t: (
+            real_pairs(t)[0],
+            [as_pair(perturbed(t, leaf, p)) for leaf, p in enumerate(_phi_local_leaves(t))],
+        ),
     )
     expected = list(oracle(7, lambda t, leaf: perturbed(t, leaf, phi_local_cotree(t, leaf))))
     assert sum(isinstance(row, dict) for row in expected) > 100
@@ -118,7 +127,7 @@ def test_integer_rows_equal_fraction_rows_when_the_sweeps_fail(monkeypatch, fast
 
 def test_surplus_rows_equal_bruteforce_rows():
     for n_max in (4, 6, 9):
-        assert list(verify_module._biconnected_surplus_rows(n_max)) == list(
+        assert list(sweeps_module._biconnected_surplus_rows(n_max)) == list(
             bruteforce_surplus_rows(n_max)
         )
 
@@ -127,7 +136,7 @@ def test_cut_leaf_is_the_only_vertex_whose_removal_disconnects():
     for n in range(2, 10):
         for t in enumerate_cotrees(n, "connected"):
             g = cotree_to_graph(t)
-            cut = verify_module._cut_leaf(t)
+            cut = sweeps_module._cut_leaf(t)
             for v in range(n):
                 rest = induced_subgraph(g, g.full_mask & ~(1 << v))
                 assert is_connected(rest) == (v != cut), (format_cotree(t), v)
@@ -148,18 +157,19 @@ def test_surplus_means_more_than_half_the_connected_sets(monkeypatch):
     # connected sets as it holds: no surplus.
     t = next(
         t for t in enumerate_cotrees(5, "connected")
-        if verify_module._cut_leaf(t) is None and phi_cotree(t).value_at_one() % 2 == 0
+        if sweeps_module._cut_leaf(t) is None and phi_cotree(t).value_at_one() % 2 == 0
     )
     half = phi_cotree(t).value_at_one() // 2
-    real_leaves = verify_module._phi_local_leaves
+    real_pairs = sweeps_module._leaf_pairs
 
     def half_at_every_leaf(tree):
+        whole, pairs = real_pairs(tree)
         if tree != t:
-            return real_leaves(tree)
-        return [SubgraphPolynomial._make(5, (1, half - 1, 0, 0, 0))] * 5
+            return whole, pairs
+        return whole, [as_pair(SubgraphPolynomial._make(5, (1, half - 1, 0, 0, 0)))] * 5
 
-    monkeypatch.setattr(verify_module, "_phi_local_leaves", half_at_every_leaf)
-    rows = list(verify_module._biconnected_surplus_rows(6))
+    monkeypatch.setattr(sweeps_module, "_leaf_pairs", half_at_every_leaf)
+    rows = list(sweeps_module._biconnected_surplus_rows(6))
     assert [row for row in rows if isinstance(row, dict)] == [
         {"n": 5, "form": format_cotree(t)}
     ]

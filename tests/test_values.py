@@ -38,7 +38,9 @@ from cographmean.poly import (
     phi_local_bruteforce,
     phi_local_cotree,
 )
-from cographmean.verify import ExtremalReport, LocalCounterexample, TheoremVerdict
+from cographmean.sweeps import LocalCounterexample
+from cographmean.verdict import TheoremVerdict
+from cographmean.verify import ExtremalReport
 
 
 def _report(mean: Fraction = Fraction(7, 3)) -> ExtremalReport:

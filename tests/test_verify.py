@@ -27,19 +27,20 @@ from cographmean import (
     verify_table2,
 )
 from cographmean import knapsack as knapsack_module
+from cographmean import sweeps as sweeps_module
 from cographmean import verify as verify_module
 from cographmean.cli import main
 from cographmean.enumeration import enumerate_caterpillars
 from cographmean.errors import OrderOutOfRange, RangeError
 from cographmean.graph import from_edge_list
-from cographmean.poly import MeanFamily, SubgraphPolynomial, closed_form_means
+from cographmean.poly import MeanFamily, closed_form_means
+from cographmean.sweeps import _phi_tree
 from cographmean.verify import (
     DISCONNECTED_MAX,
     SKILLET_MIN,
     STAR_MAX,
     TABLE1,
     TABLE2,
-    _phi_tree,
     grid_graph,
     max_mean_connected_cograph,
     path_graph,
@@ -207,13 +208,13 @@ def test_inequality_sweeps_pass_and_log_boundaries():
 
 def test_inequality_sweep_failure_keeps_rows_and_log(monkeypatch, capsys):
     passing = {v.theorem: v for v in verify_inequality_sweeps(20)}
-    real_means = verify_module.closed_form_means
+    real_means = sweeps_module.closed_form_means
 
     def means_with_k2_rest_raised(family, n, *rest):
         mean = real_means(family, n, *rest)
         return mean + n if family is MeanFamily.K_2_N3 and n in (12, 15) else mean
 
-    monkeypatch.setattr(verify_module, "closed_form_means", means_with_k2_rest_raised)
+    monkeypatch.setattr(sweeps_module, "closed_form_means", means_with_k2_rest_raised)
     verdicts = {v.theorem: v for v in verify_inequality_sweeps(20)}
     assert [name for name, v in verdicts.items() if not v.passed] == [
         "k1-plus-star-beats-k2-rest-mean"
@@ -231,16 +232,16 @@ def test_inequality_sweep_failure_keeps_rows_and_log(monkeypatch, capsys):
 
 def test_structural_sweep_failure_keeps_rows_and_log(monkeypatch, capsys):
     passing = {v.theorem: v for v in verify_structural_theorems(4)}
-    real_leaves = verify_module._phi_local_leaves
+    real_leaves = sweeps_module._leaf_pairs
     star4 = format_cotree(star(4))
 
     def leaves_with_bare_leaf(t):
-        polys = real_leaves(t)
+        whole, pairs = real_leaves(t)
         if format_cotree(t) == star4:
-            polys[1] = SubgraphPolynomial(4, (1, 0, 0, 0))  # local mean 1
-        return polys
+            pairs[1] = (1, 1)  # the polynomial x: local mean 1
+        return whole, pairs
 
-    monkeypatch.setattr(verify_module, "_phi_local_leaves", leaves_with_bare_leaf)
+    monkeypatch.setattr(sweeps_module, "_leaf_pairs", leaves_with_bare_leaf)
     verdicts = {v.theorem: v for v in verify_structural_theorems(4)}
     assert {name for name, v in verdicts.items() if not v.passed} == {
         "local-mean-at-least-half-order-plus",
@@ -307,13 +308,16 @@ def test_verdict_json_shape():
 
 def patch_searches(monkeypatch, edit):
     """Pass every report through ``edit(spec, report)``.  Claims on cotree
-    families search by knapsack_search, the others by graph_search."""
+    families search by knapsack_search, which also takes the claimed mean
+    to start from, the others by graph_search."""
     for name in ("graph_search", "knapsack_search"):
         real = getattr(verify_module, name)
         monkeypatch.setattr(
             verify_module,
             name,
-            lambda spec, objective, real=real: edit(spec, real(spec, objective)),
+            lambda spec, objective, *start, real=real: edit(
+                spec, real(spec, objective, *start)
+            ),
         )
 
 
@@ -376,8 +380,8 @@ def test_cotree_winner_mean_is_rechecked_by_phi_cotree(monkeypatch):
     on the knapsack module."""
     real = knapsack_module.extremal_cotrees
 
-    def wrong_mean_at_5(n, connectivity, maximize):
-        winners, gap = real(n, connectivity, maximize)
+    def wrong_mean_at_5(n, connectivity, maximize, start):
+        winners, gap = real(n, connectivity, maximize, start)
         if n == 5:
             ((form, mean),) = winners
             winners = ((form, mean + Fraction(1, 7)),)
