@@ -350,6 +350,21 @@ def _caterpillar_graph(spine: int, leaves: tuple[int, ...]) -> Graph:
     return from_edge_list(nxt, edges)
 
 
+def _caterpillar_profiles(order: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """``(spine, leaves)`` of one caterpillar per isomorphism class of the
+    given order, in the order :func:`enumerate_caterpillars` yields them."""
+    for spine in range(1, order):
+        extra = order - spine
+        if spine == 1:
+            yield 1, (extra,)
+            continue
+        if extra < 2:
+            continue
+        for leaves in _leaf_profiles(spine, extra):
+            if leaves <= leaves[::-1]:
+                yield spine, leaves
+
+
 def enumerate_caterpillars(order: int) -> Iterator[Graph]:
     """One tree per isomorphism class of caterpillars of the given order.
 
@@ -361,16 +376,8 @@ def enumerate_caterpillars(order: int) -> Iterator[Graph]:
         raise OrderOutOfRange(
             f"caterpillar enumeration supports 2..{MAX_CATERPILLAR_ORDER}, got {order}"
         )
-    for spine in range(1, order):
-        extra = order - spine
-        if spine == 1:
-            yield _caterpillar_graph(1, (extra,))
-            continue
-        if extra < 2:
-            continue
-        for leaves in _leaf_profiles(spine, extra):
-            if leaves <= leaves[::-1]:
-                yield _caterpillar_graph(spine, leaves)
+    for spine, leaves in _caterpillar_profiles(order):
+        yield _caterpillar_graph(spine, leaves)
 
 
 # ---------------------------------------------------------------------------

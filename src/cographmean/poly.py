@@ -90,44 +90,28 @@ class SubgraphPolynomial(Value):
 
 
 @lru_cache(maxsize=None)
-def _psi_coeffs(s: int, m: int) -> tuple[int, ...]:
-    """Coefficients a_1..a_{s+m} of ((1+x)^s - 1) ((1+x)^m - 1)."""
-    n = s + m
-    out = [0] * (n + 1)
-    for k in range(2, n + 1):
-        out[k] = sum(
-            comb(s, i) * comb(m, k - i) for i in range(max(1, k - m), min(s, k - 1) + 1)
-        )
-    return tuple(out[1:])
-
-
-def _join_poly(p: SubgraphPolynomial, q: SubgraphPolynomial) -> SubgraphPolynomial:
-    # join of graphs with polynomials p, q: everything within one side, plus
-    # every subset using both sides (those are the complete-bipartite extras)
-    n = p.n + q.n
-    coeffs = list(_psi_coeffs(p.n, q.n))
-    for k, a in enumerate(p.coeffs):
-        coeffs[k] += a
-    for k, a in enumerate(q.coeffs):
-        coeffs[k] += a
-    return SubgraphPolynomial._make(n, tuple(coeffs))
+def _binomial_row(m: int) -> tuple[int, ...]:
+    """Coefficients a_1..a_m of (1+x)^m - 1: C(m, 1), ..., C(m, m)."""
+    return tuple(comb(m, k) for k in range(1, m + 1))
 
 
 @lru_cache(maxsize=None)
 def _phi(t: Cotree) -> SubgraphPolynomial:
+    """A Union adds its children's polynomials.  A Join of parts of orders
+    s, with m = sum s, also adds the sets that meet two parts:
+    (1+x)^m - 1 - sum ((1+x)^s - 1)."""
     if t.kind == LEAF:
         return SubgraphPolynomial._make(1, (1,))
-    parts = [_phi(c) for c in t.children]
-    if t.kind == UNION:
-        coeffs = [0] * t.leaf_count
-        for p in parts:
-            for k, a in enumerate(p.coeffs):
-                coeffs[k] += a
-        return SubgraphPolynomial._make(t.leaf_count, tuple(coeffs))
-    acc = parts[0]
-    for p in parts[1:]:
-        acc = _join_poly(acc, p)
-    return acc
+    join = t.kind != UNION
+    coeffs = list(_binomial_row(t.leaf_count)) if join else [0] * t.leaf_count
+    for child in t.children:
+        p = _phi(child)
+        for k, a in enumerate(p.coeffs):
+            coeffs[k] += a
+        if join:
+            for k, c in enumerate(_binomial_row(p.n)):
+                coeffs[k] -= c
+    return SubgraphPolynomial._make(t.leaf_count, tuple(coeffs))
 
 
 def phi_cotree(t: Cotree) -> SubgraphPolynomial:
@@ -153,18 +137,21 @@ def phi_local_cotree(t: Cotree, leaf_index: int) -> SubgraphPolynomial:
     return _phi_local_leaves(t)[leaf_index]
 
 
-@lru_cache(maxsize=None)
-def _local_row(m: int, s: int) -> tuple[int, ...]:
-    """Coefficients a_1..a_m of x[(1+x)^{m-1} - (1+x)^{s-1}]; one row per s < m."""
-    return tuple(comb(m - 1, k) - comb(s - 1, k) for k in range(m))
+def _add_shifted(acc: list[int], row: tuple[int, ...], sign: int) -> list[int]:
+    """``acc`` plus ``sign`` times x * ``row``, both as coefficients a_1.."""
+    out = acc[:]
+    for k, c in enumerate(row, start=1):
+        out[k] += sign * c
+    return out
 
 
 def _phi_local_leaves(t: Cotree) -> list[SubgraphPolynomial]:
     """Every leaf's local polynomial, in leaf order, from one top-down pass.
 
-    Each leaf gets x plus one row per Join ancestor (see ``phi_local_cotree``);
-    a Union only pads, as other components never meet a connected subgraph
-    through the leaf.
+    Each leaf gets x plus, per Join ancestor of order m whose child of
+    order s holds it, x((1+x)^(m-1) - 1) - x((1+x)^(s-1) - 1) (see
+    ``phi_local_cotree``); a Union adds nothing, as other components never
+    meet a connected subgraph through the leaf.
     """
     n = t.leaf_count
     out = []
@@ -173,11 +160,13 @@ def _phi_local_leaves(t: Cotree) -> list[SubgraphPolynomial]:
         if node.kind == LEAF:
             out.append(SubgraphPolynomial._make(n, tuple(acc)))
             return
-        m = node.leaf_count
+        if node.kind == UNION:
+            for child in node.children:
+                visit(child, acc)
+            return
+        acc = _add_shifted(acc, _binomial_row(node.leaf_count - 1), 1)
         for child in node.children:
-            visit(child, acc if node.kind == UNION else [
-                a + r for a, r in zip(acc, _local_row(m, child.leaf_count))
-            ] + acc[m:])
+            visit(child, _add_shifted(acc, _binomial_row(child.leaf_count - 1), -1))
 
     visit(t, [1] + [0] * (n - 1))
     return out

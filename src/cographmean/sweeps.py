@@ -6,13 +6,17 @@ reach orders far past enumeration range; below each inequality's stated
 threshold the sweep records what actually happens instead of failing.
 Structural sweeps visit every cotree up to a small order.
 
-Each decision is taken on integers.  A mean is held as a pair (V, D) of
-its polynomial's value and derivative at 1, with mean D/V, and two means
-are compared as D V' against D' V.  A cotree's pair, and every leaf's
-local pair, come from the union/join recursion (:func:`_leaf_pairs`); a
-complete bipartite graph's come from
-:func:`~cographmean.poly.closed_form_psi`.  A ``Fraction`` is built only to
-print a mean.
+The six structural sweeps, four of the ten inequality sweeps (the two
+bipartite-mstar ones, bipartite-mean-star-beats-two and
+bipartite-mean-balance-decreasing) and the counterexample's caterpillar
+scan decide on integers.  A mean is held as a pair (V, D) of its
+polynomial's value and derivative at 1, with mean D/V, and two means are
+compared as D V' against D' V.  A cotree's pair, and every leaf's local
+pair, come from the union/join recursion (:func:`_leaf_pairs`); a complete
+bipartite graph's come from :func:`~cographmean.poly.closed_form_psi`, and
+a caterpillar's from its spine segments (:func:`_caterpillar_pair`).  The
+other six inequality sweeps compare the ``Fraction`` means of
+:func:`~cographmean.poly.closed_form_means`.
 
 This module does not import :mod:`cographmean.verify`, so a process that
 runs only these sweeps never compiles the extremal claims.
@@ -26,12 +30,16 @@ from functools import lru_cache
 from math import comb
 
 from .cotree import LEAF, UNION, Cotree, star
-from .enumeration import MAX_CATERPILLAR_ORDER, enumerate_caterpillars, enumerate_cotrees
+from .enumeration import (
+    MAX_CATERPILLAR_ORDER,
+    _caterpillar_graph,
+    _caterpillar_profiles,
+    enumerate_cotrees,
+)
 from .errors import NoWitnessFound, OrderOutOfRange, RangeError
-from .graph import Graph, Value, emit_graph6, iter_bits
+from .graph import Graph, Value, emit_graph6
 from .poly import (
     MeanFamily,
-    SubgraphPolynomial,
     closed_form_means,
     closed_form_psi,
     global_mean,
@@ -531,47 +539,34 @@ def verify_structural_theorems(n_max: int = 8) -> list[TheoremVerdict]:
 # ---------------------------------------------------------------------------
 
 
-def _phi_tree(tree: Graph) -> SubgraphPolynomial:
-    """Polynomial of a tree by a DP over subtree sizes, rooted at vertex 0.
+def _caterpillar_pair(leaves: tuple[int, ...]) -> Pair:
+    """The pair of the caterpillar whose spine vertices carry ``leaves``.
 
-    The subtrees whose top vertex is v are v together with, for each child
-    c, nothing or a subtree topped at c, so f_v = x * prod(1 + f_c), and the
-    polynomial is the sum of every f_v.  Each product has the degree of the
-    subtree it covers, which keeps the whole DP at O(n^2).
+    A connected set is a single leaf, or a spine segment i..j with any
+    subset of the S = l_i + ... + l_j leaves hanging off it.  Those sets
+    number L + sum 2^S, with L the leaf count, and their orders sum to
+    L + sum (2(j-i+1) + S) 2^(S-1).
     """
-    n = tree.order
-    parent = [0] * n
-    order, seen = [0], 1
-    for v in order:
-        for w in iter_bits(tree.adj[v] & ~seen):
-            seen |= 1 << w
-            parent[w] = v
-            order.append(w)
-    # topped[v][k]: subtrees of k vertices topped at v, over the children folded in
-    topped = [[0, 1] for _ in range(n)]
-    for v in reversed(order[1:]):
-        acc, child = topped[parent[v]], topped[v]
-        grown = acc + [0] * (len(child) - 1)
-        for i, a in enumerate(acc):
-            for j in range(1, len(child)):
-                grown[i + j] += a * child[j]
-        topped[parent[v]] = grown
-    coeffs = [0] * n
-    for f in topped:
-        for k in range(1, len(f)):
-            coeffs[k - 1] += f[k]
-    return SubgraphPolynomial._make(n, tuple(coeffs))
+    value = deriv = sum(leaves)
+    for i in range(len(leaves)):
+        s = 0
+        for j in range(i, len(leaves)):
+            s += leaves[j]
+            value += 1 << s
+            deriv += (2 * (j - i + 1) + s << s) >> 1
+    return value, deriv
 
 
 def find_local_counterexample(n: int = 14) -> LocalCounterexample:
     """A graph of order n with a vertex whose local mean undercuts the global.
 
-    Scans caterpillars one order down for one whose mean exceeds (n+1)/2,
-    then joins a universal vertex to it.  The universal vertex's local
+    Scans caterpillars one order down, as leaf profiles scored by
+    :func:`_caterpillar_pair`, for one whose mean exceeds (n+1)/2, then
+    joins a universal vertex to it.  The universal vertex's local
     polynomial is pinned coefficientwise (it must be x(1+x)^(n-1)), which
     certifies the local mean of exactly (n+1)/2; the tree's higher mean then
-    drags the global mean strictly above it.  The caterpillars are scored by
-    the tree DP :func:`_phi_tree`; the joined graph is counted by
+    drags the global mean strictly above it.  The one caterpillar built as a
+    graph, and the joined graph, are counted by
     :func:`~cographmean.poly.phi_bruteforce`.
     """
     if n < 14:
@@ -581,33 +576,37 @@ def find_local_counterexample(n: int = 14) -> LocalCounterexample:
             f"caterpillar search supports base order <= {MAX_CATERPILLAR_ORDER}"
         )
     m = n - 1
-    threshold = Fraction(m + 2, 2)
-    for tree in enumerate_caterpillars(m):
-        tree_mean = global_mean(_phi_tree(tree))
-        if tree_mean <= threshold:
-            continue
-        adj = tuple(a | 1 << m for a in tree.adj) + ((1 << m) - 1,)
-        g = Graph(n, adj)
-        g_mean = global_mean(phi_bruteforce(g))
-        local = phi_local_bruteforce(g, m)
-        binomial_row = tuple(comb(n - 1, k - 1) for k in range(1, n + 1))
-        if local.coeffs != binomial_row:
-            raise AssertionError("universal-vertex local polynomial mismatch")
-        local_mean = global_mean(local)
-        if local_mean != Fraction(n + 1, 2):
-            raise AssertionError("universal-vertex local mean mismatch")
-        if not tree_mean > g_mean > local_mean:
-            raise AssertionError("mean ordering certification failed")
-        return LocalCounterexample(
-            graph=g,
-            vertex=m,
-            global_mean=g_mean,
-            local_mean=local_mean,
-            base_tree=tree,
-            base_tree_mean=tree_mean,
+    for spine, leaves in _caterpillar_profiles(m):
+        value, deriv = _caterpillar_pair(leaves)
+        if 2 * deriv > (m + 2) * value:
+            break
+    else:
+        raise NoWitnessFound(
+            f"no caterpillar of order {m} has mean above {Fraction(m + 2, 2)}"
         )
-    raise NoWitnessFound(
-        f"no caterpillar of order {m} has mean above {threshold}"
+    tree = _caterpillar_graph(spine, leaves)
+    tree_mean = global_mean(phi_bruteforce(tree))
+    if tree_mean != Fraction(deriv, value):
+        raise AssertionError("caterpillar mean certification failed")
+    adj = tuple(a | 1 << m for a in tree.adj) + ((1 << m) - 1,)
+    g = Graph(n, adj)
+    g_mean = global_mean(phi_bruteforce(g))
+    local = phi_local_bruteforce(g, m)
+    binomial_row = tuple(comb(n - 1, k - 1) for k in range(1, n + 1))
+    if local.coeffs != binomial_row:
+        raise AssertionError("universal-vertex local polynomial mismatch")
+    local_mean = global_mean(local)
+    if local_mean != Fraction(n + 1, 2):
+        raise AssertionError("universal-vertex local mean mismatch")
+    if not tree_mean > g_mean > local_mean:
+        raise AssertionError("mean ordering certification failed")
+    return LocalCounterexample(
+        graph=g,
+        vertex=m,
+        global_mean=g_mean,
+        local_mean=local_mean,
+        base_tree=tree,
+        base_tree_mean=tree_mean,
     )
 
 

@@ -139,23 +139,28 @@ def grid_graph(rows: int, cols: int) -> Graph:
     return from_edge_list(rows * cols, edges)
 
 
+# The paper's Table 1: at orders 1-6, the connected cograph of maximum
+# global mean, built when asked for, and that mean.
+_TABLE1 = {
+    1: (lambda: complete(1), Fraction(1)),
+    2: (lambda: complete(2), Fraction(4, 3)),
+    3: (lambda: complete(3), Fraction(12, 7)),
+    4: (lambda: complete_bipartite(2, 2), Fraction(28, 13)),
+    5: (lambda: complete_bipartite(2, 3), Fraction(69, 26)),
+    6: (lambda: complete_bipartite(2, 4), Fraction(54, 17)),
+}
+
+
 def max_mean_connected_cograph(n: int) -> Cotree:
     """The connected cograph of maximum global mean at each order.
 
-    The first six orders have bespoke winners; from order 7 on it is the
-    star (verified by :func:`verify_star_max` up to its cap, order 64).
+    The first six orders have bespoke winners (``_TABLE1``); from order 7
+    on it is the star (verified by :func:`verify_star_max` up to its cap,
+    order 64).
     """
     if n < 1:
         raise RangeError(f"order must be >= 1, got {n}")
-    bespoke = {
-        1: complete(1),
-        2: complete(2),
-        3: complete(3),
-        4: complete_bipartite(2, 2),
-        5: complete_bipartite(2, 3),
-        6: complete_bipartite(2, 4),
-    }
-    return bespoke[n] if n <= 6 else star(n)
+    return _TABLE1[n][0]() if n in _TABLE1 else star(n)
 
 
 # ---------------------------------------------------------------------------
@@ -432,23 +437,20 @@ def run_claim(claim: ExtremalClaim, n_max: int) -> TheoremVerdict:
     )
 
 
-_TABLE1_MEANS = {
-    1: Fraction(1),
-    2: Fraction(4, 3),
-    3: Fraction(12, 7),
-    4: Fraction(28, 13),
-    5: Fraction(69, 26),
-    6: Fraction(54, 17),
-}
-
-_TABLE2_MEANS = {
-    3: Fraction(12, 7),
-    4: Fraction(28, 13),
-    5: Fraction(69, 26),
-    6: Fraction(67, 21),
-    7: Fraction(83, 22),
-    8: Fraction(22, 5),
-    9: Fraction(996, 197),
+# The paper's Table 2: at orders 3-9, the connected graph of maximum global
+# mean, built when asked for, and that mean.
+_TABLE2 = {
+    3: (lambda: cotree_to_graph(complete(3)), Fraction(12, 7)),
+    4: (lambda: cotree_to_graph(complete_bipartite(2, 2)), Fraction(28, 13)),
+    5: (lambda: theta_graph(1, 1, 1), Fraction(69, 26)),
+    6: (lambda: theta_graph(2, 1, 1), Fraction(67, 21)),
+    7: (lambda: theta_graph(2, 2, 1), Fraction(83, 22)),
+    8: (lambda: theta_graph(2, 2, 2), Fraction(22, 5)),
+    # K4 with five of its six edges subdivided once
+    9: (lambda: from_edge_list(9, [
+        (0, 1), (0, 4), (4, 2), (0, 5), (5, 3), (1, 6),
+        (6, 2), (1, 7), (7, 3), (2, 8), (8, 3),
+    ]), Fraction(996, 197)),
 }
 
 # Verified by exhaustive subset scan and hand-checked coefficients
@@ -458,27 +460,13 @@ _TABLE2_MEANS = {
 _GRID_3X3_MEAN = Fraction(1081, 218)
 
 
-def _table2_expected_graph(n: int) -> Graph:
-    if n == 3:
-        return cotree_to_graph(complete(3))
-    if n == 4:
-        return cotree_to_graph(complete_bipartite(2, 2))
-    if n == 9:  # K4 with five of its six edges subdivided once
-        return from_edge_list(9, [
-            (0, 1), (0, 4), (4, 2), (0, 5), (5, 3), (1, 6),
-            (6, 2), (1, 7), (7, 3), (2, 8), (8, 3),
-        ])
-    internals = {5: (1, 1, 1), 6: (2, 1, 1), 7: (2, 2, 1), 8: (2, 2, 2)}[n]
-    return theta_graph(*internals)
-
-
 TABLE1 = ExtremalClaim(
     theorem="max-mean-table-connected-cographs",
     family=Family.CONNECTED_COGRAPHS,
     objective=Objective.GLOBAL_MEAN_MAX,
     lo=1, hi=6, range_label="connected-cograph table",
     expected_form=lambda n: format_cotree(max_mean_connected_cograph(n)),
-    expected_mean=lambda n: _TABLE1_MEANS[n],
+    expected_mean=lambda n: _TABLE1[n][1],
 )
 
 # The cotree claims below reach the largest graph order, 64.  At that order,
@@ -536,8 +524,8 @@ TABLE2 = ExtremalClaim(
     family=Family.CONNECTED_GRAPHS,
     objective=Objective.GLOBAL_MEAN_MAX,
     lo=3, hi=MAX_GRAPH_SEARCH_ORDER, range_label="connected-graph table",
-    expected_form=lambda n: emit_graph6(canonical_graph(_table2_expected_graph(n))),
-    expected_mean=lambda n: _TABLE2_MEANS[n],
+    expected_form=lambda n: emit_graph6(canonical_graph(_TABLE2[n][0]())),
+    expected_mean=lambda n: _TABLE2[n][1],
 )
 
 # Capped with TABLE2 above, at about the same measured cost.

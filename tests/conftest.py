@@ -24,7 +24,7 @@ def pytest_addoption(parser):
         "--runslow",
         action="store_true",
         default=False,
-        help="also run the opt-in long-running checks (order-8 graph sweeps)",
+        help="also run the opt-in long-running checks (order-8 graph sweeps, order-9 pins)",
     )
 
 

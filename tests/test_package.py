@@ -1,6 +1,7 @@
 """The package namespace: every public name, loaded on first use."""
 
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -65,3 +66,19 @@ def test_from_import_of_a_submodule_still_returns_it():
     # and in a process where nothing has touched the package yet
     out = _fresh("from cographmean import verify as v\nprint(v.__name__)\n")
     assert out.strip() == "cographmean.verify"
+
+
+def test_every_traced_target_exists():
+    """``bench/tracer.py`` wraps each ``(module, function, kind)`` of its
+    ``TARGETS`` by ``getattr`` when a traced run starts, so a name missing
+    here breaks ``bench/run.py --trace``."""
+    path = Path(__file__).parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)  # stdlib imports only
+    missing = [
+        (module, name)
+        for module, name, _ in tracer.TARGETS
+        if not callable(getattr(importlib.import_module(f"cographmean.{module}"), name, None))
+    ]
+    assert missing == []

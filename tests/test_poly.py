@@ -81,11 +81,11 @@ def test_bruteforce_matches_independent_oracle():
 
 
 def test_cotree_vs_bruteforce_small_sample(rng):
-    for n in range(1, 7):
+    for n in range(1, 9):
         for t in enumerate_cotrees(n):
             assert phi_cotree(t) == phi_bruteforce(cotree_to_graph(t))
-    for _ in range(20):
-        t = random_cotree(rng, rng.randint(8, 11))
+    for _ in range(40):
+        t = random_cotree(rng, rng.randint(9, 20))
         assert phi_cotree(t) == phi_bruteforce(cotree_to_graph(t))
 
 

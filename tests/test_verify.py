@@ -26,15 +26,19 @@ from cographmean import (
     verify_table1,
     verify_table2,
 )
+from cographmean import enumeration as enumeration_module
 from cographmean import knapsack as knapsack_module
 from cographmean import sweeps as sweeps_module
 from cographmean import verify as verify_module
 from cographmean.cli import main
-from cographmean.enumeration import enumerate_caterpillars
+from cographmean.enumeration import (
+    _caterpillar_graph,
+    _caterpillar_profiles,
+    enumerate_caterpillars,
+)
 from cographmean.errors import OrderOutOfRange, RangeError
-from cographmean.graph import from_edge_list
 from cographmean.poly import MeanFamily, closed_form_means
-from cographmean.sweeps import _phi_tree
+from cographmean.sweeps import _caterpillar_pair, find_local_counterexample
 from cographmean.verify import (
     DISCONNECTED_MAX,
     SKILLET_MIN,
@@ -398,22 +402,45 @@ def test_cotree_winner_mean_is_rechecked_by_phi_cotree(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the tree DP that scores caterpillars for the local counterexample
+# caterpillars scored by their spine segments for the local counterexample
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n", range(2, 15))
+@pytest.mark.parametrize("n", range(2, 17))
 def test_tree_dp_matches_subset_count_on_every_caterpillar(n):
-    for tree in enumerate_caterpillars(n):
-        assert _phi_tree(tree) == phi_bruteforce(tree)
+    """The caterpillar scan's pair, summed over spine segments, against the
+    counted polynomial of the built tree."""
+    for spine, leaves in _caterpillar_profiles(n):
+        p = phi_bruteforce(_caterpillar_graph(spine, leaves))
+        assert _caterpillar_pair(leaves) == (p.value_at_one(), p.derivative_at_one())
 
 
-def test_tree_dp_matches_subset_count_on_random_trees(rng):
-    for _ in range(60):
-        n = rng.randint(1, 16)
-        labels = list(range(n))
-        rng.shuffle(labels)
-        tree = from_edge_list(
-            n, [(labels[v], labels[rng.randrange(v)]) for v in range(1, n)]
+def test_caterpillar_profiles_give_the_enumerated_graphs_in_order():
+    for n in range(2, 17):
+        profiles = list(_caterpillar_profiles(n))
+        assert all(
+            spine == len(leaves) and spine + sum(leaves) == n
+            for spine, leaves in profiles
         )
-        assert _phi_tree(tree) == phi_bruteforce(tree)
+        assert [_caterpillar_graph(*p) for p in profiles] == list(enumerate_caterpillars(n))
+
+
+def test_counterexample_builds_only_its_own_caterpillar(monkeypatch):
+    """The scan scores leaf profiles; only the winner becomes a graph.  It
+    is the first enumerated caterpillar whose counted mean exceeds 15/2."""
+    first = next(
+        tree for tree in enumerate_caterpillars(13)
+        if global_mean(phi_bruteforce(tree)) > Fraction(15, 2)
+    )
+    built = []
+
+    def counting(spine, leaves):
+        built.append(leaves)
+        return _caterpillar_graph(spine, leaves)
+
+    monkeypatch.setattr(enumeration_module, "_caterpillar_graph", counting)
+    monkeypatch.setattr(sweeps_module, "_caterpillar_graph", counting)
+    found = find_local_counterexample(14)
+    assert len(built) == 1
+    assert found.base_tree == first
+    assert found.base_tree_mean == global_mean(phi_bruteforce(first))
