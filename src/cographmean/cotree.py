@@ -15,6 +15,9 @@ with at least two arguments per U/J node; whitespace is ignored.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import chain, combinations_with_replacement, product
+
 from .errors import (
     ArityError,
     CotreeSyntaxError,
@@ -36,6 +39,9 @@ UNION = "union"
 JOIN = "join"
 
 _LETTER = {UNION: "U", JOIN: "J"}
+# The root kinds of the cotrees of order >= 2 of connected, disconnected or
+# all cographs, Join first, since every Join form sorts first ("J" < "U").
+ROOT_KINDS = {"connected": (JOIN,), "disconnected": (UNION,), "all": (JOIN, UNION)}
 
 
 class Cotree(Value):
@@ -92,6 +98,16 @@ def canonicalize(t: Cotree) -> Cotree:
             flat.append(c)
     flat.sort(key=format_cotree)
     return Cotree(t.kind, tuple(flat))
+
+
+def compose(kind: str, groups: Iterable[tuple[Sequence[Cotree], int]]) -> Iterator[Cotree]:
+    """Every tree with root ``kind`` whose children are, for each
+    ``(candidates, j)`` of ``groups``, j of ``candidates`` with repetition.
+    With distinct canonical candidates, none of kind ``kind``, each tree is
+    canonical and comes once: sorting the children by printed form is all
+    :func:`canonicalize` would do."""
+    for combo in product(*(combinations_with_replacement(c, j) for c, j in groups)):
+        yield Cotree(kind, tuple(sorted(chain.from_iterable(combo), key=format_cotree)))
 
 
 def _skip_ws(text: str, pos: int) -> int:

@@ -25,11 +25,11 @@ from collections import Counter
 from collections.abc import Iterator
 from enum import Enum
 from functools import lru_cache
-from itertools import chain, combinations_with_replacement, product
 
+from .cotree import JOIN, LEAF_TREE, ROOT_KINDS, UNION, Cotree, compose, format_cotree
 # canonicalize is no longer called here; bench/selfcheck.py still checks that
 # the tracer wraps it in this namespace.
-from .cotree import JOIN, LEAF_TREE, UNION, Cotree, canonicalize, format_cotree
+from .cotree import canonicalize  # noqa: F401
 from .errors import OrderOutOfRange, UnknownFamily
 from .graph import Graph, Value, _component, from_edge_list
 
@@ -84,18 +84,12 @@ def _cotree_pool(leaves: int, root_kind: str) -> tuple[Cotree, ...]:
     """All canonical cotrees with the given root kind, sorted by printed form."""
     other = JOIN if root_kind == UNION else UNION
     out = []
+    # Parts of at most leaves - 1 are two or more, the children of one root.
     for parts in _partitions(leaves, leaves - 1):
-        if len(parts) < 2:
-            continue
-        per_size = []
-        for size, mult in sorted(Counter(parts).items()):
-            candidates = (LEAF_TREE,) if size == 1 else _cotree_pool(size, other)
-            per_size.append(list(combinations_with_replacement(candidates, mult)))
-        # The children are leaves or canonical trees of the other kind, so
-        # sorting them by printed form is all canonicalize would do.
-        for combo in product(*per_size):
-            children = sorted(chain.from_iterable(combo), key=format_cotree)
-            out.append(Cotree(root_kind, tuple(children)))
+        out.extend(compose(root_kind, [
+            ((LEAF_TREE,) if size == 1 else _cotree_pool(size, other), mult)
+            for size, mult in sorted(Counter(parts).items())
+        ]))
     out.sort(key=format_cotree)
     return tuple(out)
 
@@ -106,7 +100,7 @@ def enumerate_cotrees(order: int, connectivity: str = "all") -> Iterator[Cotree]
     ``connectivity`` is "all", "connected" (Join-rooted, plus the lone leaf
     at order 1), or "disconnected" (Union-rooted).
     """
-    if connectivity not in ("all", "connected", "disconnected"):
+    if connectivity not in ROOT_KINDS:
         raise UnknownFamily(f"unknown connectivity filter {connectivity!r}")
     if not 1 <= order <= MAX_COTREE_LEAVES:
         raise OrderOutOfRange(
@@ -116,11 +110,8 @@ def enumerate_cotrees(order: int, connectivity: str = "all") -> Iterator[Cotree]
         if connectivity != "disconnected":
             yield LEAF_TREE
         return
-    if connectivity != "disconnected":
-        yield from _cotree_pool(order, JOIN)
-    if connectivity != "connected":
-        # Every Union form sorts after every Join form ("U" > "J").
-        yield from _cotree_pool(order, UNION)
+    for kind in ROOT_KINDS[connectivity]:
+        yield from _cotree_pool(order, kind)
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,13 @@
 For a cograph write V = Φ(1) and D = Φ'(1), so that its global mean is D/V.
 The union/join recursion makes both nearly additive over a cotree's
 children.  A Union adds its children's values.  A Join of parts of orders
-n_i, with n = Σ n_i, adds (2^n − 1) − Σ (2^{n_i} − 1) to ΣV_i and
-n·2^{n−1} − Σ n_i·2^{n_i−1} to ΣD_i.
+n_i, with n = Σ n_i, adds those of (1+x)^n − 1 − Σ ((1+x)^{n_i} − 1),
+which depend only on the orders.
 
 Fix λ = a/b and score a tree by w = b·D − a·V, negated when minimising.
-With H(m) = b·m·2^{m−1} − a·(2^m − 1), a leaf scores H(1), a Union Σw_i and
-a Join Σw_i + H(n) − ΣH(n_i).  So the best Union-rooted tree of order n is
+Let H(m) be the score of (1+x)^m − 1, from the V and D of
+:func:`~cographmean.poly._power_pair`.  A leaf scores H(1), a Union Σw_i
+and a Join Σw_i + H(n) − ΣH(n_i).  So the best Union-rooted tree of order n is
 an unbounded knapsack over part sizes below n, whose items of size s are
 the leaf (s = 1) or Join-rooted trees of order s.  The best Join-rooted tree
 is H(n) plus the same knapsack over the leaf and the Union-rooted trees,
@@ -29,14 +30,14 @@ last table.  All arithmetic is on integers; means are Fractions.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, combinations_with_replacement, product
+from itertools import combinations_with_replacement
 
-from .cotree import JOIN, LEAF_TREE, UNION, Cotree
+from .cotree import JOIN, LEAF_TREE, ROOT_KINDS, UNION, Cotree, compose
+from .poly import _pair_mean, _power_pair
 
 Entry = tuple[int, int, int]  # (w, V, D) of one tree
 _EMPTY: Entry = (0, 0, 0)  # the sum over no children
 _OTHER = {JOIN: UNION, UNION: JOIN}
-_ROOT_KINDS = {"connected": (JOIN,), "disconnected": (UNION,), "all": (JOIN, UNION)}
 
 
 def _add(x: Entry, y: Entry) -> Entry:
@@ -70,10 +71,6 @@ def _copies(pool: list[Entry], j: int, keep: int) -> list[Entry]:
     return _top(sums, keep)
 
 
-def _mean(e: Entry) -> Fraction:
-    return Fraction(e[2], e[1])
-
-
 class _Tables:
     """The top ``keep`` entries of every cotree of order at most n at λ.
 
@@ -87,10 +84,10 @@ class _Tables:
     def __init__(self, n: int, lam: Fraction, sign: int, keep: int):
         a, b = lam.numerator, lam.denominator
         self.n = n
-        self.h = [_EMPTY] + [
-            (sign * (b * (m << (m - 1)) - a * ((1 << m) - 1)), (1 << m) - 1, m << (m - 1))
-            for m in range(1, n + 1)
-        ]
+        self.h = [_EMPTY]
+        for m in range(1, n + 1):
+            value, deriv = _power_pair(0, m)
+            self.h.append((sign * (b * deriv - a * (value - 1)), value - 1, deriv))
         self.roots: dict[str, dict[int, list[Entry]]] = {JOIN: {}, UNION: {}}
         self.items: dict[str, dict[int, list[Entry]]] = {JOIN: {}, UNION: {}}
         self.knap = {kind: [[[_EMPTY]] + [[] for _ in range(n)]] for kind in (JOIN, UNION)}
@@ -121,7 +118,7 @@ class _Tables:
         if self.n == 1:
             return [] if connectivity == "disconnected" else [self.h[1]]
         return _top(
-            [e for kind in _ROOT_KINDS[connectivity] for e in self.roots[kind][self.n]], keep
+            [e for kind in ROOT_KINDS[connectivity] for e in self.roots[kind][self.n]], keep
         )
 
     def best_family_trees(self, connectivity: str) -> list[Cotree]:
@@ -131,7 +128,7 @@ class _Tables:
         best = self.family(connectivity, 1)[0][0]
         return [
             tree
-            for kind in _ROOT_KINDS[connectivity]
+            for kind in ROOT_KINDS[connectivity]
             if self.roots[kind][self.n][0][0] == best
             for tree in self.best_trees(kind, self.n)
         ]
@@ -142,16 +139,10 @@ class _Tables:
             target = self.roots[kind][s][0][0] - (self.h[s][0] if kind == JOIN else 0)
             out = []
             for sizes in self._best_sizes(kind, s - 1, s, target):
-                children = [
-                    combinations_with_replacement(
-                        [LEAF_TREE] if c == 1 else self.best_trees(_OTHER[kind], c), j
-                    )
+                out.extend(compose(kind, [
+                    ([LEAF_TREE] if c == 1 else self.best_trees(_OTHER[kind], c), j)
                     for c, j in sizes
-                ]
-                for combo in product(*children):
-                    # Children of one canonical kind sorted by form are canonical.
-                    kids = sorted(chain.from_iterable(combo), key=lambda t: t.form)
-                    out.append(Cotree(kind, tuple(kids)))
+                ]))
             self._trees[kind, s] = out
         return self._trees[kind, s]
 
@@ -190,10 +181,10 @@ def _dinkelbach(
     """
     while True:
         tables = _Tables(n, lam, sign, keep)
-        entries = [e for e in tables.family(connectivity, keep) if _mean(e) != excluded]
+        entries = [e for e in tables.family(connectivity, keep) if _pair_mean(e[1:]) != excluded]
         if not entries or entries[0][0] == 0:
             return tables, entries
-        lam = _mean(entries[0])
+        lam = _pair_mean(entries[0][1:])
 
 
 def extremal_cotrees(
@@ -213,10 +204,12 @@ def extremal_cotrees(
     tables, top = _dinkelbach(n, connectivity, sign, 2, lam, None)
     if not top:
         return (), None
-    best = _mean(top[0])
+    best = _pair_mean(top[0][1:])
     forms = sorted(tree.form for tree in tables.best_family_trees(connectivity))
     winners = tuple((form, best) for form in forms)
     if len(top) == 1:  # a family of one tree has no runner-up
         return winners, None
-    _, runner_up = _dinkelbach(n, connectivity, sign, len(forms) + 1, _mean(top[1]), best)
-    return winners, None if not runner_up else abs(best - _mean(runner_up[0]))
+    _, runner_up = _dinkelbach(
+        n, connectivity, sign, len(forms) + 1, _pair_mean(top[1][1:]), best
+    )
+    return winners, None if not runner_up else abs(best - _pair_mean(runner_up[0][1:]))

@@ -309,6 +309,24 @@ def node_reliability(p: SubgraphPolynomial, prob: Fraction) -> Fraction:
     )
 
 
+Pair = tuple[int, int]  # (V, D): a polynomial's value and derivative at 1
+
+
+def _power_pair(k: int, q: int) -> Pair:
+    """(V, D) of x^k (1+x)^q: 2^q and (2k + q) 2^(q-1)."""
+    return 1 << q, (2 * k + q << q) >> 1
+
+
+def _cmp_means(x: Pair, y: Pair) -> int:
+    """D V' - D' V: positive, zero or negative as the mean D/V of ``x`` is
+    above, equal to or below the mean D'/V' of ``y`` (V, V' > 0)."""
+    return x[1] * y[0] - y[1] * x[0]
+
+
+def _pair_mean(pair: Pair) -> Fraction:
+    return Fraction(pair[1], pair[0])
+
+
 # ---------------------------------------------------------------------------
 # closed forms
 # ---------------------------------------------------------------------------
@@ -322,6 +340,7 @@ def closed_form_psi(s: int, n: int) -> tuple[int, int]:
     """
     if not 1 <= s <= n - 1:
         raise RangeError(f"need 1 <= s <= n-1, got s={s}, n={n}")
+    # Shifts, not three _power_pair calls: the sweeps call this per (n, s).
     value = (1 << n) - (1 << (n - s)) - (1 << s) + 1
     deriv = (n << (n - 1)) - (s << (s - 1)) - ((n - s) << (n - s - 1))
     return value, deriv
@@ -340,6 +359,22 @@ class MeanFamily(str, Enum):
     STAR_N3 = "star-n3"                                # K_{1,n-3}, global mean
 
 
+# family -> (least order n, mean at n); COMPLETE_BIPARTITE_MSTAR also needs s
+_CLOSED_FORMS = {
+    MeanFamily.STAR: (1, lambda n:
+        Fraction(n + 1, 2) - Fraction((n - 1) ** 2, 2 * (2 ** (n - 1) + n - 1))),
+    MeanFamily.SKILLET: (3, lambda n: Fraction(n, 2) + Fraction(1, 3 * 2 ** (n - 2))),
+    MeanFamily.COMPLETE: (1, lambda n: Fraction(n, 2) + Fraction(n, 2 ** (n + 1) - 2)),
+    MeanFamily.K1_UNION_STAR: (3, lambda n:
+        Fraction((n - 1) + n * 2 ** (n - 3), (n - 1) + 2 ** (n - 2))),
+    MeanFamily.STAR_MSTAR: (4, lambda n: Fraction((n - 1) * 2 ** (n - 4) - 1, 2 ** (n - 3) - 1)),
+    MeanFamily.K_2_N3: (4, lambda n:
+        Fraction(3 * n * 2 ** (n - 4) - 2 ** (n - 4) + n - 5, 3 * 2 ** (n - 3) + n - 4)),
+    MeanFamily.STAR_N3: (4, lambda n:
+        Fraction((n - 3) + (n - 1) * 2 ** (n - 4), (n - 3) + 2 ** (n - 3))),
+}
+
+
 def closed_form_means(
     family: MeanFamily | str, n: int, s: int | None = None
 ) -> Fraction:
@@ -355,37 +390,12 @@ def closed_form_means(
     except ValueError:
         raise UnknownFamily(f"unknown mean family {family!r}") from None
 
-    if family is MeanFamily.STAR:
-        if n < 1:
-            raise RangeError("star mean needs n >= 1")
-        return Fraction(n + 1, 2) - Fraction((n - 1) ** 2, 2 * (2 ** (n - 1) + n - 1))
-    if family is MeanFamily.SKILLET:
-        if n < 3:
-            raise RangeError("skillet mean needs n >= 3")
-        return Fraction(n, 2) + Fraction(1, 3 * 2 ** (n - 2))
-    if family is MeanFamily.COMPLETE:
-        if n < 1:
-            raise RangeError("complete mean needs n >= 1")
-        return Fraction(n, 2) + Fraction(n, 2 ** (n + 1) - 2)
     if family is MeanFamily.COMPLETE_BIPARTITE_MSTAR:
         if s is None:
             raise RangeError("complete-bipartite-mstar needs the part size s")
         value, deriv = closed_form_psi(s, n)
         return Fraction(deriv, value)
-    if family is MeanFamily.K1_UNION_STAR:
-        if n < 3:
-            raise RangeError("k1-union-star mean needs n >= 3")
-        return Fraction((n - 1) + n * 2 ** (n - 3), (n - 1) + 2 ** (n - 2))
-    if family is MeanFamily.STAR_MSTAR:
-        if n < 4:
-            raise RangeError("star-mstar mean needs n >= 4")
-        return Fraction((n - 1) * 2 ** (n - 4) - 1, 2 ** (n - 3) - 1)
-    if family is MeanFamily.K_2_N3:
-        if n < 4:
-            raise RangeError("k2-n3 mean needs n >= 4")
-        return Fraction(3 * n * 2 ** (n - 4) - 2 ** (n - 4) + n - 5, 3 * 2 ** (n - 3) + n - 4)
-    if family is MeanFamily.STAR_N3:
-        if n < 4:
-            raise RangeError("star-n3 mean needs n >= 4")
-        return Fraction((n - 3) + (n - 1) * 2 ** (n - 4), (n - 3) + 2 ** (n - 3))
-    raise UnknownFamily(f"unhandled mean family {family!r}")
+    least, mean = _CLOSED_FORMS[family]
+    if n < least:
+        raise RangeError(f"{family.value} mean needs n >= {least}")
+    return mean(n)

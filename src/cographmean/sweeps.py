@@ -11,11 +11,12 @@ bipartite-mstar ones, bipartite-mean-star-beats-two and
 bipartite-mean-balance-decreasing) and the counterexample's caterpillar
 scan decide on integers.  A mean is held as a pair (V, D) of its
 polynomial's value and derivative at 1, with mean D/V, and two means are
-compared as D V' against D' V.  A cotree's pair, and every leaf's local
-pair, come from the union/join recursion (:func:`_leaf_pairs`); a complete
-bipartite graph's come from :func:`~cographmean.poly.closed_form_psi`, and
-a caterpillar's from its spine segments (:func:`_caterpillar_pair`).  The
-other six inequality sweeps compare the ``Fraction`` means of
+compared by :func:`~cographmean.poly._cmp_means`.  A cotree's pair, every
+leaf's local pair (:func:`_leaf_pairs`) and a caterpillar's pair
+(:func:`_caterpillar_pair`) are sums of the pairs of terms x^k (1+x)^q,
+each from :func:`~cographmean.poly._power_pair`; a complete bipartite
+graph's come from :func:`~cographmean.poly.closed_form_psi`.  The other
+six inequality sweeps compare the ``Fraction`` means of
 :func:`~cographmean.poly.closed_form_means`.
 
 This module does not import :mod:`cographmean.verify`, so a process that
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 from math import comb
 
 from .cotree import LEAF, UNION, Cotree, star
@@ -40,6 +41,10 @@ from .errors import NoWitnessFound, OrderOutOfRange, RangeError
 from .graph import Graph, Value, emit_graph6
 from .poly import (
     MeanFamily,
+    Pair,
+    _cmp_means,
+    _pair_mean,
+    _power_pair,
     closed_form_means,
     closed_form_psi,
     global_mean,
@@ -47,8 +52,6 @@ from .poly import (
     phi_local_bruteforce,
 )
 from .verdict import TheoremVerdict
-
-Pair = tuple[int, int]  # (V, D): a polynomial's value and derivative at 1
 
 
 class LocalCounterexample(Value):
@@ -80,15 +83,6 @@ class LocalCounterexample(Value):
 # ---------------------------------------------------------------------------
 
 
-def _above(x: Pair, y: Pair) -> bool:
-    """Whether the mean of ``x`` exceeds the mean of ``y`` (both V > 0)."""
-    return x[1] * y[0] > y[1] * x[0]
-
-
-def _mean(pair: Pair) -> Fraction:
-    return Fraction(pair[1], pair[0])
-
-
 # A sweep asks for a graph again right after it: the next s, or the star at
 # each s.  Two entries serve those repeats.
 @lru_cache(maxsize=2)
@@ -106,25 +100,24 @@ def _pair(t: Cotree) -> Pair:
     """(Phi(1), Phi'(1)) of the cograph of ``t``.
 
     A Union adds its children's pairs.  A Join of parts of orders s, with
-    m = sum s, adds the sets that meet two parts: (2^m - 1) - sum (2^s - 1)
-    to the values and m 2^(m-1) - sum s 2^(s-1) to the derivatives.
+    m = sum s, adds the sets that meet two parts: (1+x)^m - 1 less
+    (1+x)^s - 1 for each part.
     """
     if t.kind == LEAF:
         return 1, 1
-    if t.kind == UNION:
-        value = deriv = 0
-        for child in t.children:
-            v, d = _pair(child)
-            value += v
-            deriv += d
-        return value, deriv
-    m = t.leaf_count
-    value, deriv = (1 << m) - 1, m << (m - 1)
+    join = t.kind != UNION
+    value = deriv = 0
+    if join:
+        value, deriv = _power_pair(0, t.leaf_count)
+        value -= 1
     for child in t.children:
-        s = child.leaf_count
         v, d = _pair(child)
-        value += v - (1 << s) + 1
-        deriv += d - (s << (s - 1))
+        value += v
+        deriv += d
+        if join:
+            part_v, part_d = _power_pair(0, child.leaf_count)
+            value -= part_v - 1
+            deriv -= part_d
     return value, deriv
 
 
@@ -133,8 +126,7 @@ def _leaf_pairs(t: Cotree) -> tuple[Pair, list[Pair]]:
 
     A leaf's local polynomial is x plus, for each Join ancestor of order m
     whose child of order s holds the leaf, x(1+x)^(m-1) - x(1+x)^(s-1)
-    (see :func:`~cographmean.poly.phi_local_cotree`), whose value and
-    derivative at 1 are 2^(m-1) - 2^(s-1) and (m+1) 2^(m-2) - (s+1) 2^(s-2).
+    (see :func:`~cographmean.poly.phi_local_cotree`).
     """
     leaves: list[Pair] = []
 
@@ -146,12 +138,12 @@ def _leaf_pairs(t: Cotree) -> tuple[Pair, list[Pair]]:
             for child in node.children:
                 visit(child, value, deriv)
             return
-        m = node.leaf_count
-        value += 1 << (m - 1)
-        deriv += (m + 1 << m) >> 2
+        join_v, join_d = _power_pair(1, node.leaf_count - 1)
+        value += join_v
+        deriv += join_d
         for child in node.children:
-            s = child.leaf_count
-            visit(child, value - (1 << (s - 1)), deriv - ((s + 1 << s) >> 2))
+            part_v, part_d = _power_pair(1, child.leaf_count - 1)
+            visit(child, value - part_v, deriv - part_d)
 
     visit(t, 0, 0)
     return _pair(t), leaves
@@ -233,11 +225,11 @@ def _mstar_balance_rows(n_max: int) -> Iterator[dict | str]:
     # M* of complete bipartite graphs decreases as the parts balance,
     # so the star tops every order.
     yield from _misses(
-        lambda n, s: _above(_bipartite(s, n, True), _bipartite(s + 1, n, True)),
+        lambda n, s: _cmp_means(_bipartite(s, n, True), _bipartite(s + 1, n, True)) > 0,
         ((n, s) for n in range(4, n_max + 1) for s in range(1, n // 2)),
     )
     yield from _misses(
-        lambda n, s: not _above(_bipartite(s, n, True), _bipartite(1, n, True)),
+        lambda n, s: _cmp_means(_bipartite(s, n, True), _bipartite(1, n, True)) <= 0,
         ((n, s) for n in range(2, n_max + 1) for s in range(2, n)),
         clause="star-top",
     )
@@ -257,7 +249,7 @@ def _star_mstar_rows(n_max: int) -> Iterator[dict | str]:
         clause="bounds",
     )
     yield from _misses(
-        lambda n: _star_mstar(n) == _mean(_bipartite(1, n, True)),
+        lambda n: _star_mstar(n) == _pair_mean(_bipartite(1, n, True)),
         orders,
         clause="psi-consistency",
     )
@@ -271,11 +263,11 @@ def _star_beats_two_rows(n_max: int) -> Iterator[dict | str]:
         star_pair, two_pair = _bipartite(1, n), _bipartite(2, n)
         yield (
             f"n={n} below threshold: star "
-            f"{'beats' if _above(star_pair, two_pair) else 'loses to'} "
-            f"two-per-part split ({_mean(star_pair)} vs {_mean(two_pair)})"
+            f"{'beats' if _cmp_means(star_pair, two_pair) > 0 else 'loses to'} "
+            f"two-per-part split ({_pair_mean(star_pair)} vs {_pair_mean(two_pair)})"
         )
     yield from _misses(
-        lambda n: _above(_bipartite(1, n), _bipartite(2, n)),
+        lambda n: _cmp_means(_bipartite(1, n), _bipartite(2, n)) > 0,
         ((n,) for n in range(7, n_max + 1)),
     )
 
@@ -284,7 +276,7 @@ def _two_rest_rows(n_max: int) -> Iterator[dict | str]:
     # M* of K_{2,n-3} (order n-1) never exceeds the complete graph's mean at
     # order n, once n >= 6.
     def sides(n: int) -> tuple[Fraction, Fraction]:
-        return _mean(_bipartite(2, n - 1, True)), closed_form_means(MeanFamily.COMPLETE, n)
+        return _pair_mean(_bipartite(2, n - 1, True)), closed_form_means(MeanFamily.COMPLETE, n)
 
     yield from _below_threshold(lambda n: sides(n)[0] <= sides(n)[1], 6)
     for n in range(6, n_max + 1):
@@ -330,7 +322,7 @@ INEQUALITIES = (
         "bipartite-mean-balance-decreasing",
         "n=6..{n_max}, s=2..floor(n/2)-1",
         lambda n_max: _misses(
-            lambda n, s: _above(_bipartite(s, n), _bipartite(s + 1, n)),
+            lambda n, s: _cmp_means(_bipartite(s, n), _bipartite(s + 1, n)) > 0,
             ((n, s) for n in range(6, n_max + 1) for s in range(2, n // 2)),
         ),
     ),
@@ -349,7 +341,7 @@ INEQUALITIES = (
         "bipartite-mstar-above-half-order",
         "n=2..{n_max}, s=1..n-1",
         lambda n_max: _misses(
-            lambda n, s: _above(_bipartite(s, n, True), (2, n)),
+            lambda n, s: _cmp_means(_bipartite(s, n, True), (2, n)) > 0,
             ((n, s) for n in range(2, n_max + 1) for s in range(1, n)),
         ),
     ),
@@ -405,9 +397,10 @@ def _star_max_mstar_rows(n_max: int) -> Iterator[dict | str]:
         ties = []
         for t in enumerate_cotrees(n, "all"):
             pair = _mstar_pair(t)
-            if _above(pair, bound):
-                yield {"n": n, "form": t.form, "mstar": str(_mean(pair))}
-            elif not _above(bound, pair):
+            ahead = _cmp_means(pair, bound)
+            if ahead > 0:
+                yield {"n": n, "form": t.form, "mstar": str(_pair_mean(pair))}
+            elif ahead == 0:
                 ties.append(t.form)
         if ties != [star(n).form]:
             yield {"n": n, "equality_set": ties}
@@ -439,10 +432,11 @@ def _local_dominates_rows(n_max: int) -> Iterator[dict | str]:
         for t in enumerate_cotrees(n, "connected"):
             whole, leaves = _leaf_pairs(t)
             for leaf, local in enumerate(leaves):
-                if _above(whole, local) or (n >= 2 and not _above(local, whole)):
+                ahead = _cmp_means(local, whole)
+                if ahead < 0 or (n >= 2 and ahead == 0):
                     yield {"n": n, "form": t.form, "vertex": leaf,
-                           "local_mean": str(_mean(local)),
-                           "global_mean": str(_mean(whole))}
+                           "local_mean": str(_pair_mean(local)),
+                           "global_mean": str(_pair_mean(whole))}
 
 
 def _cut_leaf(t: Cotree) -> int | None:
@@ -473,18 +467,14 @@ def _connected_mean_growth_rows(n_max: int) -> Iterator[dict | str]:
     # Means of connected cographs strictly exceed those of all smaller
     # cographs, connected or not.
     def extreme(n: int, connectivity: str, lowest: bool) -> Pair:
-        best = None
-        for t in enumerate_cotrees(n, connectivity):
-            pair = _pair(t)
-            if best is None or _above(*((best, pair) if lowest else (pair, best))):
-                best = pair
-        return best
+        pairs = map(_pair, enumerate_cotrees(n, connectivity))
+        return (min if lowest else max)(pairs, key=cmp_to_key(_cmp_means))
 
     min_connected = {n: extreme(n, "connected", True) for n in range(1, n_max + 1)}
     max_any = {n: extreme(n, "all", False) for n in range(1, n_max + 1)}
     for n in range(2, n_max + 1):
         for m in range(1, n):
-            if not _above(min_connected[n], max_any[m]):
+            if _cmp_means(min_connected[n], max_any[m]) <= 0:
                 yield {"n": n, "m": m}
 
 
@@ -543,17 +533,18 @@ def _caterpillar_pair(leaves: tuple[int, ...]) -> Pair:
     """The pair of the caterpillar whose spine vertices carry ``leaves``.
 
     A connected set is a single leaf, or a spine segment i..j with any
-    subset of the S = l_i + ... + l_j leaves hanging off it.  Those sets
-    number L + sum 2^S, with L the leaf count, and their orders sum to
-    L + sum (2(j-i+1) + S) 2^(S-1).
+    subset of the S = l_i + ... + l_j leaves hanging off it.  So the
+    polynomial is L x, with L the leaf count, plus x^(j-i+1) (1+x)^S for
+    each segment.
     """
     value = deriv = sum(leaves)
     for i in range(len(leaves)):
         s = 0
         for j in range(i, len(leaves)):
             s += leaves[j]
-            value += 1 << s
-            deriv += (2 * (j - i + 1) + s << s) >> 1
+            v, d = _power_pair(j - i + 1, s)
+            value += v
+            deriv += d
     return value, deriv
 
 

@@ -53,7 +53,10 @@ from .graph import (
 )
 from .poly import (
     MeanFamily,
+    _cmp_means,
     _count_connected,
+    _pair_mean,
+    _power_pair,
     closed_form_means,
     global_mean,
     phi_bruteforce,
@@ -96,6 +99,12 @@ class ExtremalReport(Value):
             "winners": [{"form": form, "mean": str(mean)} for form, mean in self.winners],
             "runner_up_gap": None if gap is None else str(gap),
         }
+
+
+def _report(
+    spec: GeneratorSpec, objective: Objective, winners: tuple, gap: Fraction | None
+) -> ExtremalReport:
+    return ExtremalReport(Family(spec.family).value, spec.order, objective.value, winners, gap)
 
 
 # ---------------------------------------------------------------------------
@@ -205,13 +214,7 @@ def extremal_search(spec: GeneratorSpec, objective: Objective) -> ExtremalReport
         for item in tied
     )
     gap = None if second is None else abs(best - second)
-    return ExtremalReport(
-        family=Family(spec.family).value,
-        order=spec.order,
-        objective=objective.value,
-        winners=tuple(winners),
-        runner_up_gap=gap,
-    )
+    return _report(spec, objective, tuple(winners), gap)
 
 
 def knapsack_search(
@@ -225,17 +228,11 @@ def knapsack_search(
     from .knapsack import extremal_cotrees
 
     objective = Objective(objective)
-    family = Family(spec.family)
     winners, gap = extremal_cotrees(
-        spec.order, _COTREE_FILTER[family], objective is Objective.GLOBAL_MEAN_MAX, start
+        spec.order, _COTREE_FILTER[Family(spec.family)],
+        objective is Objective.GLOBAL_MEAN_MAX, start,
     )
-    return ExtremalReport(
-        family=family.value,
-        order=spec.order,
-        objective=objective.value,
-        winners=winners,
-        runner_up_gap=gap,
-    )
+    return _report(spec, objective, winners, gap)
 
 
 def _value_and_derivative(counts: list[int]) -> tuple[int, int]:
@@ -245,9 +242,9 @@ def _value_and_derivative(counts: list[int]) -> tuple[int, int]:
 
 def _subset_term(base: tuple[int, ...], subset: int) -> tuple[int, int]:
     """The term of M = ``subset`` in :func:`_new_vertex_score`'s sum,
-    (-1)^c(M) x^k (1+x)^q, and its derivative at x = 1: +-2^q and
-    +-(2k + q) 2^(q-1), with c(M) the number of components of base[M],
-    k = |M| + 1 and q the number of base vertices outside N[M]."""
+    (-1)^c(M) x^k (1+x)^q, and its derivative at x = 1, with c(M) the
+    number of components of base[M], k = |M| + 1 and q the number of base
+    vertices outside N[M]."""
     closed = rest = subset
     parts = 0
     while rest:  # flood-fill one component of base[M] per round
@@ -263,7 +260,7 @@ def _subset_term(base: tuple[int, ...], subset: int) -> tuple[int, int]:
             rest &= ~nbrs
     k = subset.bit_count() + 1
     q = len(base) - closed.bit_count()
-    value, deriv = 1 << q, (2 * k + q << q) >> 1
+    value, deriv = _power_pair(k, q)
     return (-value, -deriv) if parts & 1 else (value, deriv)
 
 
@@ -329,7 +326,7 @@ def graph_search(spec: GeneratorSpec, objective: Objective) -> ExtremalReport:
     Every connected class is some connected extension, and each extension
     is some class, so the best and runner-up means over
     :func:`_scored_extensions` are those over the classes, and no extension
-    is deduplicated.  Means D/V are compared as D V' against D' V.  A class
+    is deduplicated.  Means are compared as (V, D) pairs.  A class
     may arise more than once, so the tied extensions are deduplicated by
     printed form.
     """
@@ -339,29 +336,25 @@ def graph_search(spec: GeneratorSpec, objective: Objective) -> ExtremalReport:
     second: tuple[int, int] | None = None
     tied: list[tuple[tuple[int, ...], int]] = []
     for base, nbrs, v, d in _scored_extensions(spec.order):
+        pair = (v, d)
         if best is None:
-            best, tied = (d, v), [(base, nbrs)]
+            best, tied = pair, [(base, nbrs)]
             continue
-        ahead = sign * (d * best[1] - best[0] * v)
+        ahead = sign * _cmp_means(pair, best)
         if ahead == 0:
             tied.append((base, nbrs))
         elif ahead > 0:
             second = best
-            best, tied = (d, v), [(base, nbrs)]
-        elif second is None or sign * (d * second[1] - second[0] * v) > 0:
-            second = (d, v)
-    mean = Fraction(*best)
+            best, tied = pair, [(base, nbrs)]
+        elif second is None or sign * _cmp_means(pair, second) > 0:
+            second = pair
+    mean = _pair_mean(best)
     forms = {
         emit_graph6(canonical_graph(Graph._make(spec.order, _extend(base, nbrs))))
         for base, nbrs in tied
     }
-    return ExtremalReport(
-        family=Family(spec.family).value,
-        order=spec.order,
-        objective=objective.value,
-        winners=tuple((form, mean) for form in sorted(forms)),
-        runner_up_gap=None if second is None else abs(mean - Fraction(*second)),
-    )
+    gap = None if second is None else abs(mean - _pair_mean(second))
+    return _report(spec, objective, tuple((form, mean) for form in sorted(forms)), gap)
 
 
 def _recheck_by_phi_cotree(report: ExtremalReport) -> bool:
@@ -438,11 +431,10 @@ def run_claim(claim: ExtremalClaim, n_max: int) -> TheoremVerdict:
 
 
 # The paper's Table 2: at orders 3-9, the connected graph of maximum global
-# mean, built when asked for, and that mean.
+# mean, built when asked for, and that mean.  Up to order 5 it is Table 1's
+# cograph (theta_graph(1, 1, 1) is K{2,3}).
 _TABLE2 = {
-    3: (lambda: cotree_to_graph(complete(3)), Fraction(12, 7)),
-    4: (lambda: cotree_to_graph(complete_bipartite(2, 2)), Fraction(28, 13)),
-    5: (lambda: theta_graph(1, 1, 1), Fraction(69, 26)),
+    **{n: (lambda n=n: cotree_to_graph(_TABLE1[n][0]()), _TABLE1[n][1]) for n in (3, 4, 5)},
     6: (lambda: theta_graph(2, 1, 1), Fraction(67, 21)),
     7: (lambda: theta_graph(2, 2, 1), Fraction(83, 22)),
     8: (lambda: theta_graph(2, 2, 2), Fraction(22, 5)),
@@ -579,5 +571,9 @@ def verify_table2(n_max: int = 7) -> TheoremVerdict:
 
 
 def verify_path_min_conjecture(n_max: int = 7) -> TheoremVerdict:
-    """The path is the unique minimum-mean connected graph up to n_max."""
+    """The path is the unique minimum-mean connected graph up to n_max.
+
+    The source paper conjectured this at every order, and Vince proved it
+    ("A lower bound on the average size of a connected vertex set of a
+    graph", J. Combin. Theory Ser. B 152, 2022)."""
     return run_claim(PATH_MIN, n_max)

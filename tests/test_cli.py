@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -28,7 +29,7 @@ from cographmean import (
     from_edge_list,
     star,
 )
-from cographmean.cli import _build_parser, _parse_input, main
+from cographmean.cli import _SUITES, _build_parser, _parse_input, main
 from cographmean.enumeration import MAX_COTREE_LEAVES
 
 
@@ -316,6 +317,24 @@ def test_enumerate_connected_graphs_as_cotrees_stops_at_the_first_non_cograph(
     assert err == (
         f"error: graph has a connected order-{n} subgraph with connected complement\n"
     )
+
+
+def test_every_suite_default_nmax_is_its_function_default():
+    """``_SUITES`` repeats each suite's default ``--nmax``, which ``verify``
+    prints as "nmax"; it must be the default of the function that takes it."""
+    from cographmean import sweeps, verify
+
+    for name, (default, module, runner) in _SUITES.items():
+        calls = []
+
+        class Recorder:
+            def __getattr__(self, attr):
+                return lambda *args: calls.append((attr, args)) or []
+
+        runner(Recorder(), default)
+        [(function, _)] = [call for call in calls if call[1] == (default,)]
+        real = getattr({"verify": verify, "sweeps": sweeps}[module], function)
+        assert inspect.signature(real).parameters["n_max"].default == default, name
 
 
 def test_verify_table1_honours_nmax(capsys):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cographmean import canonicalize, format_cotree, parse_cotree
-from cographmean.cotree import JOIN, LEAF_TREE, UNION, Cotree
+from cographmean.cotree import JOIN, LEAF_TREE, UNION, Cotree, compose
 
 # Trees of 20 leaves take a few milliseconds each; a slow host must not
 # turn that into a deadline failure.
@@ -75,3 +75,24 @@ def test_reordered_children_compare_equal_only_when_structurally_equal(data):
     assert same == all(_structure(a) == _structure(b) for a, b in zip(order, t.children))
     if same:
         assert hash(u) == hash(t)
+
+
+@_SETTINGS
+@given(st.sampled_from((UNION, JOIN)), st.data())
+def test_compose_yields_canonical_trees(kind, data):
+    """Children drawn from groups of canonical trees not of the root's kind,
+    in any order, need no canonicalize once ``compose`` has sorted them."""
+    other = cotrees(leaves=st.integers(1, 6)).filter(lambda t: t.kind != kind)
+    groups = data.draw(
+        st.lists(
+            st.tuples(st.lists(other, min_size=1, max_size=3, unique=True), st.integers(1, 3)),
+            min_size=1,
+            max_size=3,
+        ).filter(lambda groups: sum(j for _, j in groups) >= 2)
+    )
+    trees = list(compose(kind, groups))
+    assert trees
+    for tree in trees:
+        assert tree.kind == kind
+        assert tree == canonicalize(tree)
+        assert _structure(tree) == _structure(canonicalize(tree))
