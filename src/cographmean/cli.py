@@ -29,7 +29,7 @@ from .cotree import (
     parse_cotree,
 )
 # The enumerate parser takes its choices from Family, so this one stays eager.
-from .enumeration import Family, GeneratorSpec, canonical_graph, generate
+from .enumeration import _COTREE_FILTER, Family, GeneratorSpec, canonical_graph, generate
 from .errors import CographMeanError, ConfigError, NotACograph, VertexOutOfRange
 from .graph import Graph, emit_graph6, parse_graph6
 from .poly import (
@@ -112,32 +112,25 @@ def _format_value(value: Fraction, decimal: bool) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _phi_for_input(obj: Cotree | Graph, cap: int | None, cotree_only: bool):
+def _input_phi(obj: Cotree | Graph, v: int | None, cap: int | None, cotree_only: bool):
+    """The polynomial of ``obj``, or its local polynomial at vertex ``v``: a
+    cograph's from its cotree, any other graph's by counting within ``cap``
+    unless ``cotree_only``.  A bad vertex is rejected before anything else."""
+    if v is not None:
+        # A cotree's leaves are its vertices, so both inputs get the same message.
+        n = obj.leaf_count if isinstance(obj, Cotree) else obj.order
+        if not 0 <= v < n:
+            raise VertexOutOfRange(f"vertex {v} outside 0..{n - 1}")
     if isinstance(obj, Cotree):
-        return phi_cotree(obj)
-    try:
-        tree = graph_to_cotree(obj)
-    except NotACograph:
-        if cotree_only:
-            raise
-        return phi_bruteforce(obj, cap)
-    return phi_cotree(tree)
-
-
-def _local_phi_for_input(obj: Cotree | Graph, v: int, cap: int | None, cotree_only: bool):
-    # A cotree's leaves are its vertices, so both inputs get the same message.
-    n = obj.leaf_count if isinstance(obj, Cotree) else obj.order
-    if not 0 <= v < n:
-        raise VertexOutOfRange(f"vertex {v} outside 0..{n - 1}")
-    if isinstance(obj, Cotree):
-        return phi_local_cotree(obj, v)
-    try:
-        tree, leaf = graph_to_cotree_with_leaves(obj)
-    except NotACograph:
-        if cotree_only:
-            raise
-        return phi_local_bruteforce(obj, v, cap)
-    return phi_local_cotree(tree, leaf[v])
+        tree, leaf = obj, range(obj.leaf_count)
+    else:
+        try:
+            tree, leaf = graph_to_cotree_with_leaves(obj)
+        except NotACograph:
+            if cotree_only:
+                raise
+            return phi_bruteforce(obj, cap) if v is None else phi_local_bruteforce(obj, v, cap)
+    return phi_cotree(tree) if v is None else phi_local_cotree(tree, leaf[v])
 
 
 def _cmd_mean(args: argparse.Namespace) -> int:
@@ -147,11 +140,11 @@ def _cmd_mean(args: argparse.Namespace) -> int:
     # The local polynomial comes first, so that a bad vertex is rejected
     # before the global count.  "mean" is printed only without --local.
     if args.local is not None:
-        lp = _local_phi_for_input(obj, args.local, cap, args.cotree_only)
+        lp = _input_phi(obj, args.local, cap, args.cotree_only)
         lines.append(("local", _format_value(global_mean(lp), args.decimal)))
     want_global = not (args.mstar or args.density or args.local is not None)
     if want_global or args.mstar or args.density or args.poly:
-        p = _phi_for_input(obj, cap, args.cotree_only)
+        p = _input_phi(obj, None, cap, args.cotree_only)
     if want_global:
         lines.append(("mean", _format_value(global_mean(p), args.decimal)))
     if args.mstar:
@@ -175,7 +168,7 @@ def _cmd_mean(args: argparse.Namespace) -> int:
 def _cmd_reliability(args: argparse.Namespace) -> int:
     cap = _brute_force_cap(args)
     obj = _parse_input(args.input)
-    p = _phi_for_input(obj, cap, cotree_only=False)
+    p = _input_phi(obj, None, cap, cotree_only=False)
     print(_format_value(node_reliability(p, args.p), args.decimal))
     return 0
 
@@ -189,7 +182,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     family = Family(args.family)
     emit = args.emit
     if emit is None:
-        emit = "graph6" if family in (Family.CONNECTED_GRAPHS, Family.CATERPILLARS) else "cotree"
+        emit = "cotree" if family in _COTREE_FILTER else "graph6"
     items = generate(GeneratorSpec(family, args.order))
     if family is Family.CONNECTED_GRAPHS:
         # Classes arrive in build order.  Print their canonical forms, in the

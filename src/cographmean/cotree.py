@@ -44,6 +44,14 @@ _LETTER = {UNION: "U", JOIN: "J"}
 ROOT_KINDS = {"connected": (JOIN,), "disconnected": (UNION,), "all": (JOIN, UNION)}
 
 
+def _root_kinds(n: int, connectivity: str) -> tuple[str, ...]:
+    """The root kinds of the order-n cotrees of a connectivity family: at
+    order 1 the lone leaf, which is connected, else ``ROOT_KINDS``."""
+    if n == 1:
+        return () if connectivity == "disconnected" else (LEAF,)
+    return ROOT_KINDS[connectivity]
+
+
 class Cotree(Value):
     """Immutable cotree node.
 
@@ -262,7 +270,7 @@ def complement_cotree(t: Cotree) -> Cotree:
 
 def is_connected_cograph(t: Cotree) -> bool:
     """The realized graph is connected iff the root is Join or a lone leaf."""
-    return t.kind == JOIN or t.leaf_count == 1
+    return t.kind in _root_kinds(t.leaf_count, "connected")
 
 
 # ---------------------------------------------------------------------------

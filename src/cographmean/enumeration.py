@@ -13,8 +13,9 @@ once in a fixed order:
   still reached by deleting one of those vertices.  Kept extensions are
   deduplicated on the minimal code over the labellings that respect that
   partition; the first one of each class represents it.  The canonical
-  form (lexicographically minimal upper-triangle bitstring over all
-  vertex permutations) is computed only for graphs that are printed;
+  form (the minimal :func:`~cographmean.graph._triangle_code`, the
+  upper-triangle layout graph6 prints, over all vertex permutations) is
+  computed only for graphs that are printed;
 * caterpillar trees, encoded by spine length plus per-spine leaf counts,
   deduplicated under reversal.
 """
@@ -26,12 +27,14 @@ from collections.abc import Iterator
 from enum import Enum
 from functools import lru_cache
 
-from .cotree import JOIN, LEAF_TREE, ROOT_KINDS, UNION, Cotree, compose, format_cotree
+from .cotree import (
+    JOIN, LEAF, LEAF_TREE, ROOT_KINDS, UNION, Cotree, _root_kinds, compose, format_cotree
+)
 # canonicalize is no longer called here; bench/selfcheck.py still checks that
 # the tracer wraps it in this namespace.
 from .cotree import canonicalize  # noqa: F401
 from .errors import OrderOutOfRange, UnknownFamily
-from .graph import Graph, Value, _component, from_edge_list
+from .graph import Graph, Value, _component, _triangle_adj, from_edge_list
 
 # The largest order whose full enumeration (``cographmean enumerate cographs
 # N``) was measured to finish within 60 s and 1 GB peak RSS on a 2-core host:
@@ -82,6 +85,8 @@ def _partitions(total: int, cap: int) -> Iterator[tuple[int, ...]]:
 @lru_cache(maxsize=None)
 def _cotree_pool(leaves: int, root_kind: str) -> tuple[Cotree, ...]:
     """All canonical cotrees with the given root kind, sorted by printed form."""
+    if root_kind == LEAF:
+        return (LEAF_TREE,)
     other = JOIN if root_kind == UNION else UNION
     out = []
     # Parts of at most leaves - 1 are two or more, the children of one root.
@@ -106,31 +111,13 @@ def enumerate_cotrees(order: int, connectivity: str = "all") -> Iterator[Cotree]
         raise OrderOutOfRange(
             f"cotree enumeration supports 1..{MAX_COTREE_LEAVES} leaves, got {order}"
         )
-    if order == 1:
-        if connectivity != "disconnected":
-            yield LEAF_TREE
-        return
-    for kind in ROOT_KINDS[connectivity]:
+    for kind in _root_kinds(order, connectivity):
         yield from _cotree_pool(order, kind)
 
 
 # ---------------------------------------------------------------------------
 # non-isomorphic graphs of small order
 # ---------------------------------------------------------------------------
-
-
-def _code_to_adj(n: int, code: int) -> tuple[int, ...]:
-    """Unpack a triangle code: the upper triangle, column-major, first bit
-    most significant."""
-    adj = [0] * n
-    pos = n * (n - 1) // 2 - 1
-    for col in range(1, n):
-        for row in range(col):
-            if code >> pos & 1:
-                adj[row] |= 1 << col
-                adj[col] |= 1 << row
-            pos -= 1
-    return tuple(adj)
 
 
 def _cells(n: int, adj: tuple[int, ...]) -> tuple[int, ...]:
@@ -169,7 +156,7 @@ def _lower_twins(adj: tuple[int, ...]) -> list[int]:
 
 
 def _min_code(n: int, adj: tuple[int, ...], cell_of: tuple[int, ...] | None = None) -> int:
-    """Lexicographically minimal triangle code over all vertex permutations.
+    """Minimal :func:`~cographmean.graph._triangle_code` over all vertex permutations.
 
     Grows the permutation one position at a time, keeping every prefix that
     still attains the minimal bit string.  A prefix is kept as its placed
@@ -232,7 +219,7 @@ def canonical_graph(g: Graph) -> Graph:
     """The canonical representative of a graph's isomorphism class: the
     relabelling whose triangle code is the minimal :func:`_min_code`.  Its
     graph6 string is the printed form of the class."""
-    return Graph(g.order, _code_to_adj(g.order, _min_code(g.order, g.adj)))
+    return Graph(g.order, _triangle_adj(g.order, _min_code(g.order, g.adj)))
 
 
 def _extend(base: tuple[int, ...], nbrs: int) -> tuple[int, ...]:

@@ -9,9 +9,10 @@ operation here is pure.
 ``induced_subgraph`` build from a valid graph with the unchecked ``Graph._make``.
 
 The interchange format is graph6: an N(n) header byte (or the four-byte
-``~``-prefixed form for n >= 63) followed by the upper triangle of the
-adjacency matrix in column-major order, packed six bits per printable byte
-at offset 63, zero-padded.
+``~``-prefixed form for n >= 63) followed by the triangle code of
+:func:`_triangle_code`, packed six bits per printable byte at offset 63,
+zero-padded.  That code is the one layout of the upper triangle: the
+canonical forms of :mod:`cographmean.enumeration` are minimal codes in it.
 """
 
 from __future__ import annotations
@@ -243,6 +244,29 @@ def _decode_order(data: str) -> tuple[int, int]:
     return vals[0] << 12 | vals[1] << 6 | vals[2], 4
 
 
+def _triangle_code(n: int, adj: tuple[int, ...]) -> int:
+    """The upper triangle of the adjacency matrix as one integer: column by
+    column, rows in order within each, the first bit most significant."""
+    code = 0
+    for col in range(1, n):
+        for row in range(col):
+            code = code << 1 | adj[row] >> col & 1
+    return code
+
+
+def _triangle_adj(n: int, code: int) -> tuple[int, ...]:
+    """The adjacency of an order-n triangle code; inverse of :func:`_triangle_code`."""
+    adj = [0] * n
+    pos = n * (n - 1) // 2 - 1
+    for col in range(1, n):
+        for row in range(col):
+            if code >> pos & 1:
+                adj[row] |= 1 << col
+                adj[col] |= 1 << row
+            pos -= 1
+    return tuple(adj)
+
+
 def parse_graph6(text: str) -> Graph:
     """Decode a graph6 string, bit-exactly.
 
@@ -262,26 +286,17 @@ def parse_graph6(text: str) -> Graph:
         raise TruncatedBits(f"need {nbytes} data bytes for order {n}, got {len(body)}")
     if len(body) > nbytes:
         raise TrailingGarbage(f"{len(body) - nbytes} extra bytes after the bit data")
-    vals = []
+    code = 0
     for c in body:
         v = ord(c) - 63
         if not 0 <= v <= 63:
             raise TruncatedBits(f"byte {c!r} is outside the graph6 range")
-        vals.append(v)
-    adj = [0] * n
-    j = 0
-    for col in range(1, n):
-        for row in range(col):
-            if vals[j // 6] >> (5 - j % 6) & 1:
-                adj[row] |= 1 << col
-                adj[col] |= 1 << row
-            j += 1
-    # remaining bits of the last byte must be zero padding
-    while j < 6 * nbytes:
-        if vals[j // 6] >> (5 - j % 6) & 1:
-            raise TrailingGarbage("nonzero padding bits")
-        j += 1
-    return Graph(n, tuple(adj))
+        code = code << 6 | v
+    pad = 6 * nbytes - nbits
+    # the last byte's remaining bits must be zero padding
+    if code & (1 << pad) - 1:
+        raise TrailingGarbage("nonzero padding bits")
+    return Graph(n, _triangle_adj(n, code >> pad))
 
 
 def emit_graph6(g: Graph) -> str:
@@ -291,17 +306,7 @@ def emit_graph6(g: Graph) -> str:
         head = chr(63 + n)
     else:
         head = "~" + "".join(chr(63 + (n >> k & 63)) for k in (12, 6, 0))
-    vals = []
-    acc = 0
-    filled = 0
-    for col in range(1, n):
-        for row in range(col):
-            acc = acc << 1 | (g.adj[row] >> col & 1)
-            filled += 1
-            if filled == 6:
-                vals.append(acc)
-                acc = 0
-                filled = 0
-    if filled:
-        vals.append(acc << (6 - filled))
-    return head + "".join(chr(63 + v) for v in vals)
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    code = _triangle_code(n, g.adj) << 6 * nbytes - nbits
+    return head + "".join(chr(63 + (code >> 6 * i & 63)) for i in reversed(range(nbytes)))

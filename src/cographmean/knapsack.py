@@ -32,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .cotree import JOIN, LEAF_TREE, ROOT_KINDS, UNION, Cotree, compose
+from .cotree import JOIN, LEAF, LEAF_TREE, UNION, Cotree, _root_kinds, compose
 from .poly import _pair_mean, _power_pair
 
 Entry = tuple[int, int, int]  # (w, V, D) of one tree
@@ -74,7 +74,8 @@ def _copies(pool: list[Entry], j: int, keep: int) -> list[Entry]:
 class _Tables:
     """The top ``keep`` entries of every cotree of order at most n at λ.
 
-    ``roots[kind][s]`` ranks the trees of order s >= 2 with that root.
+    ``roots[kind][s]`` ranks the trees of order s with that root: the leaf
+    at order 1, Join or Union from order 2.
     ``items[kind][c]`` ranks the children of order c that a ``kind`` node
     can take: the leaf or the other root kind, less H(c) under a Join.
     ``knap[kind][c][m]`` ranks the multisets of such children with orders
@@ -88,13 +89,13 @@ class _Tables:
         for m in range(1, n + 1):
             value, deriv = _power_pair(0, m)
             self.h.append((sign * (b * deriv - a * (value - 1)), value - 1, deriv))
-        self.roots: dict[str, dict[int, list[Entry]]] = {JOIN: {}, UNION: {}}
+        self.roots = {LEAF: {1: [self.h[1]]}, JOIN: {}, UNION: {}}
         self.items: dict[str, dict[int, list[Entry]]] = {JOIN: {}, UNION: {}}
         self.knap = {kind: [[[_EMPTY]] + [[] for _ in range(n)]] for kind in (JOIN, UNION)}
-        self._trees: dict[tuple[str, int], list[Cotree]] = {}
+        self._trees: dict[tuple[str, int], list[Cotree]] = {(LEAF, 1): [LEAF_TREE]}
         for c in range(1, n):
             for kind in (JOIN, UNION):
-                pool = [self.h[1]] if c == 1 else self.roots[_OTHER[kind]][c]
+                pool = self.roots[LEAF if c == 1 else _OTHER[kind]][c]
                 if kind == JOIN:
                     pool = [_sub(e, self.h[c]) for e in pool]
                 self.items[kind][c] = pool
@@ -115,26 +116,21 @@ class _Tables:
 
     def family(self, connectivity: str, keep: int) -> list[Entry]:
         """The top ``keep`` entries of the order-n trees in the family."""
-        if self.n == 1:
-            return [] if connectivity == "disconnected" else [self.h[1]]
-        return _top(
-            [e for kind in ROOT_KINDS[connectivity] for e in self.roots[kind][self.n]], keep
-        )
+        roots = [self.roots[kind][self.n] for kind in _root_kinds(self.n, connectivity)]
+        return _top([e for entries in roots for e in entries], keep)
 
     def best_family_trees(self, connectivity: str) -> list[Cotree]:
         """Every order-n tree of the family with the family's best score."""
-        if self.n == 1:
-            return [] if connectivity == "disconnected" else [LEAF_TREE]
-        best = self.family(connectivity, 1)[0][0]
+        top = self.family(connectivity, 1)
         return [
             tree
-            for kind in ROOT_KINDS[connectivity]
-            if self.roots[kind][self.n][0][0] == best
+            for kind in _root_kinds(self.n, connectivity)
+            if self.roots[kind][self.n][0][0] == top[0][0]
             for tree in self.best_trees(kind, self.n)
         ]
 
     def best_trees(self, kind: str, s: int) -> list[Cotree]:
-        """Every tree of order s >= 2 with root ``kind`` and the best score."""
+        """Every tree of order s with root ``kind`` and the best score."""
         if (kind, s) not in self._trees:
             target = self.roots[kind][s][0][0] - (self.h[s][0] if kind == JOIN else 0)
             out = []

@@ -35,6 +35,7 @@ from .enumeration import (
     MAX_CATERPILLAR_ORDER,
     _caterpillar_graph,
     _caterpillar_profiles,
+    _extend,
     enumerate_cotrees,
 )
 from .errors import NoWitnessFound, OrderOutOfRange, RangeError
@@ -579,8 +580,7 @@ def find_local_counterexample(n: int = 14) -> LocalCounterexample:
     tree_mean = global_mean(phi_bruteforce(tree))
     if tree_mean != Fraction(deriv, value):
         raise AssertionError("caterpillar mean certification failed")
-    adj = tuple(a | 1 << m for a in tree.adj) + ((1 << m) - 1,)
-    g = Graph(n, adj)
+    g = Graph(n, _extend(tree.adj, (1 << m) - 1))
     g_mean = global_mean(phi_bruteforce(g))
     local = phi_local_bruteforce(g, m)
     binomial_row = tuple(comb(n - 1, k - 1) for k in range(1, n + 1))

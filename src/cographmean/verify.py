@@ -16,7 +16,7 @@ counterexample live in :mod:`cographmean.sweeps`.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from enum import Enum
 from fractions import Fraction
 
@@ -54,7 +54,6 @@ from .graph import (
 from .poly import (
     MeanFamily,
     _cmp_means,
-    _count_connected,
     _pair_mean,
     _power_pair,
     closed_form_means,
@@ -177,6 +176,26 @@ def max_mean_connected_cograph(n: int) -> Cotree:
 # ---------------------------------------------------------------------------
 
 
+def _extremes(scored: Iterable[tuple], ahead: Callable) -> tuple:
+    """``(best, tied, second)`` over the ``(item, score)`` pairs of ``scored``:
+    the best score, every item that attains it, in order and with
+    multiplicity, and the first score to attain the best strictly worse
+    value (None if there is none; best is None too if ``scored`` is empty).
+    ``ahead(a, b)`` is positive, zero or negative as score a is better
+    than, as good as or worse than b."""
+    best = second = None
+    tied = []
+    for item, score in scored:
+        lead = 1 if best is None else ahead(score, best)
+        if lead == 0:
+            tied.append(item)
+        elif lead > 0:
+            best, second, tied = score, best, [item]
+        elif second is None or ahead(score, second) > 0:
+            second = score
+    return best, tied, second
+
+
 def extremal_search(spec: GeneratorSpec, objective: Objective) -> ExtremalReport:
     """Exact argmax/argmin of the global mean over one enumerated family.
 
@@ -186,28 +205,14 @@ def extremal_search(spec: GeneratorSpec, objective: Objective) -> ExtremalReport
     are put in canonical form.
     """
     objective = Objective(objective)
-    maximize = objective is Objective.GLOBAL_MEAN_MAX
+    sign = 1 if objective is Objective.GLOBAL_MEAN_MAX else -1
 
-    def better(a: Fraction, b: Fraction) -> bool:
-        return a > b if maximize else a < b
+    def mean(item: Cotree | Graph) -> Fraction:
+        return global_mean(phi_cotree(item) if isinstance(item, Cotree) else phi_bruteforce(item))
 
-    best: Fraction | None = None
-    second: Fraction | None = None
-    tied: list[Cotree | Graph] = []
-    for item in generate(spec):
-        if isinstance(item, Cotree):
-            mean = global_mean(phi_cotree(item))
-        else:
-            mean = global_mean(phi_bruteforce(item))
-        if best is None:
-            best, tied = mean, [item]
-        elif mean == best:
-            tied.append(item)
-        elif better(mean, best):
-            second = best
-            best, tied = mean, [item]
-        elif second is None or better(mean, second):
-            second = mean
+    best, tied, second = _extremes(
+        ((item, mean(item)) for item in generate(spec)), lambda a, b: sign * (a - b)
+    )
     winners = sorted(
         (format_cotree(item) if isinstance(item, Cotree)
          else emit_graph6(canonical_graph(item)), best)
@@ -233,11 +238,6 @@ def knapsack_search(
         objective is Objective.GLOBAL_MEAN_MAX, start,
     )
     return _report(spec, objective, winners, gap)
-
-
-def _value_and_derivative(counts: list[int]) -> tuple[int, int]:
-    """Phi(1) and Phi'(1) from connected-set counts indexed by size."""
-    return sum(counts), sum(k * a for k, a in enumerate(counts))
 
 
 def _subset_term(base: tuple[int, ...], subset: int) -> tuple[int, int]:
@@ -311,7 +311,8 @@ def _scored_extensions(order: int) -> Iterator[tuple[tuple[int, ...], int, int, 
         if base is not last:
             last = base
             base_graph = Graph._make(order - 1, base)
-            base_v, base_d = _value_and_derivative(_count_connected(base_graph, 0))
+            base_p = phi_bruteforce(base_graph)
+            base_v, base_d = base_p.value_at_one(), base_p.derivative_at_one()
             parts = connected_components(base_graph)
             terms: dict[int, tuple[int, int]] = {}
         if all(nbrs & part for part in parts):
@@ -332,22 +333,10 @@ def graph_search(spec: GeneratorSpec, objective: Objective) -> ExtremalReport:
     """
     objective = Objective(objective)
     sign = 1 if objective is Objective.GLOBAL_MEAN_MAX else -1
-    best: tuple[int, int] | None = None
-    second: tuple[int, int] | None = None
-    tied: list[tuple[tuple[int, ...], int]] = []
-    for base, nbrs, v, d in _scored_extensions(spec.order):
-        pair = (v, d)
-        if best is None:
-            best, tied = pair, [(base, nbrs)]
-            continue
-        ahead = sign * _cmp_means(pair, best)
-        if ahead == 0:
-            tied.append((base, nbrs))
-        elif ahead > 0:
-            second = best
-            best, tied = pair, [(base, nbrs)]
-        elif second is None or sign * _cmp_means(pair, second) > 0:
-            second = pair
+    best, tied, second = _extremes(
+        (((base, nbrs), (v, d)) for base, nbrs, v, d in _scored_extensions(spec.order)),
+        lambda x, y: sign * _cmp_means(x, y),
+    )
     mean = _pair_mean(best)
     forms = {
         emit_graph6(canonical_graph(Graph._make(spec.order, _extend(base, nbrs))))

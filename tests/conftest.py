@@ -16,7 +16,7 @@ import pytest
 
 from cographmean import Graph, from_edge_list
 from cographmean.cotree import JOIN, LEAF_TREE, UNION, Cotree, canonicalize
-from cographmean.graph import iter_bits
+from cographmean.graph import _triangle_adj, iter_bits
 
 
 def pytest_addoption(parser):
@@ -154,13 +154,13 @@ def oracle_min_code(g: Graph, cell_of: tuple[int, ...] | None = None) -> int:
 def oracle_graph_classes(n: int) -> tuple[int, ...]:
     """Sorted class codes by the plain scan: every one-vertex extension of
     every class of order n-1, each reduced by the full ``_min_code``."""
-    from cographmean.enumeration import _code_to_adj, _min_code
+    from cographmean.enumeration import _min_code
 
     if n == 1:
         return (0,)
     seen = set()
     for code in oracle_graph_classes(n - 1):
-        base = _code_to_adj(n - 1, code)
+        base = _triangle_adj(n - 1, code)
         for nbrs in range(1 << (n - 1)):
             adj = tuple(base[v] | (nbrs >> v & 1) << (n - 1) for v in range(n - 1))
             seen.add(_min_code(n, adj + (nbrs,)))

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -736,3 +737,25 @@ def test_readme_synopses_list_every_flag():
         for name, sub in commands.choices.items()
     }
     assert readme_flags == parser_flags
+
+
+def _readme_examples() -> list[tuple[str, list[str]]]:
+    """Each ``$ cographmean ...`` line of README.md's example block, its
+    ``# ...`` comment stripped, and the lines printed under it."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    (block,) = [b for b in re.findall(r"^```\n(.*?)^```", readme, re.M | re.S) if "$ " in b]
+    examples: list[tuple[str, list[str]]] = []
+    for line in block.splitlines():
+        if line.startswith("$ cographmean "):
+            examples.append((re.sub(r"\s+#.*", "", line.removeprefix("$ cographmean ")), []))
+        else:
+            examples[-1][1].append(line)
+    return examples
+
+
+@pytest.mark.parametrize("command, printed", _readme_examples())
+def test_readme_examples_print_what_the_readme_shows(capsys, command, printed):
+    code, out, err = run(capsys, *shlex.split(command))
+    assert code == 0, err
+    if printed != ["{ ... exit code 0 iff every verdict is PASS ... }"]:
+        assert out.splitlines() == printed

@@ -30,6 +30,7 @@ from cographmean import (
     enumerate_connected_graphs,
     enumerate_cotrees,
     format_cotree,
+    from_edge_list,
     graph_to_cotree,
     is_connected,
 )
@@ -37,13 +38,12 @@ from cographmean.cotree import JOIN, LEAF, UNION, canonicalize, cotree_to_graph
 from cographmean.enumeration import (
     MAX_COTREE_LEAVES,
     _cells,
-    _code_to_adj,
     _cotree_pool,
     _graph_classes,
     _min_code,
 )
 from cographmean.errors import OrderOutOfRange
-from cographmean.graph import Graph, emit_graph6, parse_graph6
+from cographmean.graph import Graph, _triangle_adj, emit_graph6, parse_graph6
 from cographmean.verify import PATH_MIN, TABLE2, extremal_search
 
 
@@ -296,7 +296,7 @@ def test_relabelled_representatives_reach_the_representative(rng):
     for n in range(2, 8):
         codes = class_codes(n)
         for code in rng.sample(codes, min(25, len(codes))):
-            g = Graph(n, _code_to_adj(n, code))
+            g = Graph(n, _triangle_adj(n, code))
             perm = list(range(n))
             rng.shuffle(perm)
             assert canonical_graph(relabel(g, perm)) == g
@@ -317,10 +317,21 @@ def test_canonical_graph_never_builds_a_class_table():
     assert done.stdout.split() == ["7", "0"]
 
 
+def test_canonical_graph6_body_packs_the_minimal_code(rng):
+    for n in range(2, 11):
+        for _ in range(5):
+            p = rng.random()
+            g = from_edge_list(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < p])
+            nbits = n * (n - 1) // 2
+            bits = format(_min_code(n, g.adj), f"0{nbits}b") + "0" * (-nbits % 6)
+            body = "".join(chr(63 + int(bits[i:i + 6], 2)) for i in range(0, len(bits), 6))
+            assert emit_graph6(canonical_graph(g)) == chr(63 + n) + body
+
+
 def test_code_round_trip():
     for n in range(1, 7):
         for code in class_codes(n):
-            assert _min_code(n, _code_to_adj(n, code)) == code
+            assert _min_code(n, _triangle_adj(n, code)) == code
 
 
 def test_enumerated_graphs_are_connected():

@@ -1,5 +1,7 @@
 """graph6 codec: frozen decodes, strict error handling, round trips."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,7 @@ from cographmean.errors import (
     TrailingGarbage,
     TruncatedBits,
 )
-from cographmean.graph import Graph
+from cographmean.graph import MAX_ORDER, Graph, _triangle_adj, _triangle_code
 
 
 # values frozen by decoding the bit layout by hand:
@@ -74,6 +76,37 @@ def test_body_errors():
         parse_graph6("Bx")  # 111001: nonzero padding bit
     with pytest.raises(TruncatedBits):
         parse_graph6("B\x05")  # body byte outside the printable range
+
+
+def _random_graph(rng: random.Random, n: int, p: float) -> Graph:
+    return from_edge_list(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < p])
+
+
+def test_triangle_code_round_trips_at_every_order():
+    rng = random.Random(0x7C0DE)
+    for n in range(1, MAX_ORDER + 1):
+        for p in (0.1, 0.5, 0.9):
+            g = _random_graph(rng, n, p)
+            code = _triangle_code(n, g.adj)
+            assert code >> n * (n - 1) // 2 == 0
+            assert _triangle_adj(n, code) == g.adj
+
+
+def test_nonzero_padding_is_rejected_at_every_padding_width():
+    # n(n-1)/2 mod 6 is only ever 0, 1, 3 or 4, so the padding is 0, 5, 3 or 2 bits.
+    rng = random.Random(0x9AD)
+    widths = set()
+    for n in range(1, MAX_ORDER + 1):
+        nbits = n * (n - 1) // 2
+        g = _random_graph(rng, n, 0.5)
+        text = emit_graph6(g)
+        assert parse_graph6(text) == g
+        for bit in range(-nbits % 6):
+            widths.add(nbits % 6)
+            bad = text[:-1] + chr(63 + (ord(text[-1]) - 63 ^ 1 << bit))
+            with pytest.raises(TrailingGarbage, match="nonzero padding bits"):
+                parse_graph6(bad)
+    assert widths == {1, 3, 4}
 
 
 def test_round_trip_all_labeled_graphs_order_up_to_4():

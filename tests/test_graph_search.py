@@ -23,12 +23,11 @@ from cographmean.enumeration import (
     enumerate_connected_graphs,
 )
 from cographmean.graph import Graph, connected_components, emit_graph6
-from cographmean.poly import _count_connected, phi_bruteforce
+from cographmean.poly import SubgraphPolynomial, phi_bruteforce, phi_local_bruteforce
 from cographmean.verify import (
     Objective,
     _new_vertex_score,
     _scored_extensions,
-    _value_and_derivative,
     extremal_search,
     graph_search,
 )
@@ -49,8 +48,8 @@ def _form(order: int, adj: tuple[int, ...]) -> str:
 
 def _count_through_new(base: tuple[int, ...], nbrs: int) -> tuple[int, int]:
     """L(1) and L'(1) of the new vertex, by counting its connected sets."""
-    g = Graph(len(base) + 1, _extend(base, nbrs))
-    return _value_and_derivative(_count_connected(g, 1 << len(base)))
+    p = phi_local_bruteforce(Graph(len(base) + 1, _extend(base, nbrs)), len(base))
+    return p.value_at_one(), p.derivative_at_one()
 
 
 @pytest.mark.parametrize("objective", list(Objective))
@@ -114,7 +113,8 @@ def test_subset_sum_matches_both_counters_on_random_bases():
             score = _new_vertex_score(base, nbrs, terms)
             assert score == _count_through_new(base, nbrs)
             g = Graph(m + 1, _extend(base, nbrs))
-            assert score == _value_and_derivative(oracle_esu_counts(g, 1 << m))
+            p = SubgraphPolynomial(m + 1, tuple(oracle_esu_counts(g, 1 << m)[1:]))
+            assert score == (p.value_at_one(), p.derivative_at_one())
 
 
 def _inject(monkeypatch, extensions):

@@ -37,7 +37,8 @@ from cographmean.enumeration import (
     enumerate_caterpillars,
 )
 from cographmean.errors import OrderOutOfRange, RangeError
-from cographmean.poly import MeanFamily, closed_form_means
+from cographmean.poly import MeanFamily, _cmp_means, closed_form_means
+from cographmean.verify import _extremes
 from cographmean.sweeps import _caterpillar_pair, find_local_counterexample
 from cographmean.verify import (
     DISCONNECTED_MAX,
@@ -104,6 +105,40 @@ def test_extremal_search_formats_only_its_winners(monkeypatch, n, objective):
     monkeypatch.setattr(verify_module, "canonical_graph", counted)
     report = extremal_search(GeneratorSpec(Family.CONNECTED_GRAPHS, n), objective)
     assert len(calls) == len(report.winners)
+
+
+def _difference(x, y):
+    return x - y
+
+
+def test_extremes_keeps_ties_with_multiplicity():
+    scored = [("a", 2), ("b", 5), ("c", 5), ("b", 5), ("d", 3)]
+    assert _extremes(scored, _difference) == (5, ["b", "c", "b"], 3)
+
+
+def test_extremes_of_equal_scores_has_no_runner_up():
+    assert _extremes([("a", 4), ("b", 4), ("a", 4)], _difference) == (4, ["a", "b", "a"], None)
+
+
+def test_extremes_of_one_item_and_of_none():
+    assert _extremes([("a", 7)], _difference) == (7, ["a"], None)
+    assert _extremes([], _difference) == (None, [], None)
+
+
+@pytest.mark.parametrize("sign, expected", [(1, (4, ["c"], 3)), (-1, (1, ["b", "d"], 2))])
+def test_extremes_maximises_and_minimises(sign, expected):
+    scored = [("a", 3), ("b", 1), ("c", 4), ("d", 1), ("e", 2)]
+    assert _extremes(scored, lambda x, y: sign * (x - y)) == expected
+
+
+@pytest.mark.parametrize(
+    "sign, expected",
+    [(1, ((1, 3), ["a"], (1, 2))), (-1, ((1, 2), ["b", "c", "d"], (1, 3)))],
+)
+def test_extremes_keeps_the_first_score_of_each_mean(sign, expected):
+    # (V, D) pairs compared by mean D/V: the last three all have mean 2.
+    scored = [("a", (1, 3)), ("b", (1, 2)), ("c", (2, 4)), ("d", (3, 6))]
+    assert _extremes(scored, lambda x, y: sign * _cmp_means(x, y)) == expected
 
 
 def test_verify_table1_passes():
