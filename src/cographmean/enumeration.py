@@ -218,7 +218,10 @@ def _min_code(n: int, adj: tuple[int, ...], cell_of: tuple[int, ...] | None = No
 def canonical_graph(g: Graph) -> Graph:
     """The canonical representative of a graph's isomorphism class: the
     relabelling whose triangle code is the minimal :func:`_min_code`.  Its
-    graph6 string is the printed form of the class."""
+    graph6 string is the printed form of the class.  The unrestricted search
+    keeps every order of a tied independent prefix: nothing of 8 or fewer
+    vertices is affected, but a sparse 14-vertex graph can take 3-5 s and
+    140 MB on a 2-core Xeon."""
     return Graph(g.order, _triangle_adj(g.order, _min_code(g.order, g.adj)))
 
 

@@ -8,8 +8,8 @@ operation here is pure.
 ``Graph(order, adj)`` and the parsers check their input; ``complement`` and
 ``induced_subgraph`` build from a valid graph with the unchecked ``Graph._make``.
 
-The interchange format is graph6: an N(n) header byte (or the four-byte
-``~``-prefixed form for n >= 63) followed by the triangle code of
+The interchange format is graph6: an N(n) header byte (``~`` and three
+for n >= 63, or ``~~`` and six) followed by the triangle code of
 :func:`_triangle_code`, packed six bits per printable byte at offset 63,
 zero-padded.  That code is the one layout of the upper triangle: the
 canonical forms of :mod:`cographmean.enumeration` are minimal codes in it.
@@ -45,11 +45,30 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 class Value:
     """Immutable value: ``__slots__`` names what it stores, ``_fields`` its
-    constructor's arguments.  ``__init__`` checks them, then calls ``_store``;
-    ``_make`` stores unchecked, for values valid by construction.  Values are
-    equal when their class and ``_key()`` (by default the fields) are."""
+    constructor's arguments.  The plain ``__init__`` takes the fields by
+    position or by name and fills any left out from ``_defaults``; a type
+    that checks its input writes its own, which calls ``_store``.  ``_make``
+    stores unchecked, for values valid by construction.  Values are equal
+    when their class and ``_key()`` (by default the fields) are."""
 
     __slots__ = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        name = type(self).__qualname__
+        if len(args) > len(self._fields):
+            raise TypeError(f"{name}() takes {len(self._fields)} fields, got {len(args)}")
+        values = dict(zip(self._fields, args))
+        for key in kwargs:
+            if key in values:
+                raise TypeError(f"{name}() got field {key!r} twice")
+            if key not in self._fields:
+                raise TypeError(f"{name}() has no field {key!r}")
+        values = self._defaults | values | kwargs
+        missing = [key for key in self._fields if key not in values]
+        if missing:
+            raise TypeError(f"{name}() is missing {', '.join(missing)}")
+        self._store(*[values[key] for key in self._fields])
 
     def _store(self, *values) -> None:
         for name, value in zip(self.__slots__, values):
@@ -227,21 +246,22 @@ def induced_subgraph(g: Graph, subset: VertexSubset) -> Graph:
 
 
 def _decode_order(data: str) -> tuple[int, int]:
-    """Decode the N(n) header; return (n, index of first body byte)."""
+    """Decode the N(n) header: one byte, ``~`` and three, or ``~~`` and six,
+    six bits each; return (n, index of first body byte)."""
     first = ord(data[0]) - 63
     if not 0 <= first <= 63:
         raise MalformedHeader(f"byte {data[0]!r} is outside the graph6 range")
     if data[0] != "~":
         return first, 1
-    if len(data) >= 2 and data[1] == "~":
-        # eight-byte header encodes n >= 258048, far past this library's cap
-        raise OrderOutOfRange("graph6 order exceeds 64")
-    if len(data) < 4:
-        raise MalformedHeader("extended order header is shorter than four bytes")
-    vals = [ord(c) - 63 for c in data[1:4]]
-    if any(not 0 <= v <= 63 for v in vals):
-        raise MalformedHeader("extended order header has bytes outside the graph6 range")
-    return vals[0] << 12 | vals[1] << 6 | vals[2], 4
+    tildes, size = (2, "eight") if data[1:2] == "~" else (1, "four")
+    if len(data) < 4 * tildes:
+        raise MalformedHeader(f"extended order header is shorter than {size} bytes")
+    n = 0
+    for c in data[tildes : 4 * tildes]:
+        if not 63 <= ord(c) <= 126:
+            raise MalformedHeader("extended order header has bytes outside the graph6 range")
+        n = n << 6 | ord(c) - 63
+    return n, 4 * tildes
 
 
 def _triangle_code(n: int, adj: tuple[int, ...]) -> int:

@@ -62,12 +62,6 @@ class LocalCounterexample(Value):
         "graph", "vertex", "global_mean", "local_mean", "base_tree", "base_tree_mean"
     )
 
-    def __init__(
-        self, graph: Graph, vertex: int, global_mean: Fraction, local_mean: Fraction,
-        base_tree: Graph, base_tree_mean: Fraction,
-    ):
-        self._store(graph, vertex, global_mean, local_mean, base_tree, base_tree_mean)
-
     def to_json_dict(self) -> dict:
         return {
             "graph6": emit_graph6(self.graph),
@@ -169,11 +163,6 @@ class Sweep(Value):
     a format string that takes ``n_max``."""
 
     __slots__ = _fields = ("theorem", "range_label", "rows")
-
-    def __init__(
-        self, theorem: str, range_label: str, rows: Callable[[int], Iterator[dict | str]]
-    ):
-        self._store(theorem, range_label, rows)
 
 
 def run_sweep(sweep: Sweep, n_max: int) -> TheoremVerdict:
@@ -607,19 +596,12 @@ def verify_local_counterexample(n: int = 14) -> TheoremVerdict:
     try:
         found = find_local_counterexample(n)
     except NoWitnessFound as exc:
-        return TheoremVerdict(
-            theorem="local-mean-below-global-witness",
-            parameter_range=f"n={n}",
-            status="FAIL",
-            witness={"searched": f"caterpillars of order {n - 1}", "error": str(exc)},
-        )
-    return TheoremVerdict(
-        theorem="local-mean-below-global-witness",
-        parameter_range=f"n={n}",
-        status="PASS",
-        witness=found.to_json_dict(),
-        log=(
+        status, log = "FAIL", ()
+        witness = {"searched": f"caterpillars of order {n - 1}", "error": str(exc)}
+    else:
+        status, witness = "PASS", found.to_json_dict()
+        log = (
             f"tree mean {found.base_tree_mean} > global {found.global_mean} "
             f"> local {found.local_mean} at the universal vertex",
-        ),
-    )
+        )
+    return TheoremVerdict("local-mean-below-global-witness", f"n={n}", status, witness, log)

@@ -14,12 +14,7 @@ class TheoremVerdict(Value):
     """PASS/FAIL outcome of one mechanical check, with a reproducible trail."""
 
     __slots__ = _fields = ("theorem", "parameter_range", "status", "witness", "log")
-
-    def __init__(
-        self, theorem: str, parameter_range: str, status: str,
-        witness: dict | None = None, log: tuple[str, ...] = (),
-    ):
-        self._store(theorem, parameter_range, status, witness, log)
+    _defaults = {"witness": None, "log": ()}
 
     @property
     def passed(self) -> bool:

@@ -74,12 +74,6 @@ class ExtremalReport(Value):
 
     __slots__ = _fields = ("family", "order", "objective", "winners", "runner_up_gap")
 
-    def __init__(
-        self, family: str, order: int, objective: str,
-        winners: tuple[tuple[str, Fraction], ...], runner_up_gap: Fraction | None,
-    ):
-        self._store(family, order, objective, winners, runner_up_gap)
-
     @property
     def is_unique(self) -> bool:
         return len(self.winners) == 1
@@ -374,17 +368,7 @@ class ExtremalClaim(Value):
         "theorem", "family", "objective", "lo", "hi", "range_label",
         "expected_form", "expected_mean", "log_line",
     )
-
-    def __init__(
-        self, theorem: str, family: Family, objective: Objective, lo: int, hi: int,
-        range_label: str, expected_form: Callable[[int], str],
-        expected_mean: Callable[[int], Fraction | None] = lambda n: None,
-        log_line: Callable[[int, ExtremalReport], str] = _form_and_mean,
-    ):
-        self._store(
-            theorem, family, objective, lo, hi, range_label,
-            expected_form, expected_mean, log_line,
-        )
+    _defaults = {"expected_mean": lambda n: None, "log_line": _form_and_mean}
 
 
 def run_claim(claim: ExtremalClaim, n_max: int) -> TheoremVerdict:

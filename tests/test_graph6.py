@@ -60,9 +60,38 @@ def test_header_errors():
     with pytest.raises(MalformedHeader):
         parse_graph6("~?")  # extended header cut short
     with pytest.raises(OrderOutOfRange):
-        parse_graph6("~~??????")  # the >= 258048 header form
+        parse_graph6("~~??????")  # the eight-byte header of order 0
     with pytest.raises(OrderOutOfRange):
         parse_graph6("?")  # order 0
+
+
+def _eight_byte_header(n: int) -> str:
+    return "~~" + "".join(chr(63 + (n >> k & 63)) for k in (30, 24, 18, 12, 6, 0))
+
+
+def test_eight_byte_header_reads_like_the_shorter_forms():
+    for n in (2, 63, 64):
+        g = from_edge_list(n, [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)])
+        text = emit_graph6(g)
+        body = text[1:] if n <= 62 else text[4:]
+        assert parse_graph6(_eight_byte_header(n) + body) == g
+    # the eight- and four-byte forms of the one-edge graph of order 2
+    assert parse_graph6("~~?????A_") == parse_graph6("~??A_") == parse_graph6("A_")
+
+
+def test_eight_byte_header_errors():
+    for k in range(6):
+        with pytest.raises(MalformedHeader, match="shorter than eight bytes"):
+            parse_graph6("~~" + "?" * k)
+    with pytest.raises(MalformedHeader, match="outside the graph6 range"):
+        parse_graph6("~~???\x7f??")
+    with pytest.raises(MalformedHeader, match="outside the graph6 range"):
+        parse_graph6("~?\x1f?")
+    assert _eight_byte_header(258048) == "~~???~??"
+    with pytest.raises(OrderOutOfRange):
+        parse_graph6("~~???~??")
+    with pytest.raises(OrderOutOfRange):
+        parse_graph6(_eight_byte_header(65) + "?" * 344)
 
 
 def test_body_errors():

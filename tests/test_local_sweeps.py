@@ -26,6 +26,9 @@ from cographmean import (
     phi_local_cotree,
 )
 from cographmean import sweeps as sweeps_module
+from cographmean.cli import main
+from cographmean.errors import NoWitnessFound
+from cographmean.verdict import TheoremVerdict
 from cographmean.enumeration import enumerate_cotrees
 from cographmean.poly import SubgraphPolynomial, _phi_local_leaves
 
@@ -173,3 +176,26 @@ def test_surplus_means_more_than_half_the_connected_sets(monkeypatch):
     assert [row for row in rows if isinstance(row, dict)] == [
         {"n": 5, "form": format_cotree(t)}
     ]
+
+
+def test_a_missing_local_counterexample_is_a_fail_verdict(monkeypatch, capsys):
+    """When the search finds no witness, the verdict is FAIL with the
+    searched range, and ``verify local-mean`` exits 1."""
+    found = sweeps_module.verify_local_counterexample()
+    assert found.passed
+
+    def no_witness(n):
+        raise NoWitnessFound(f"no caterpillar of order {n - 1} qualifies")
+
+    monkeypatch.setattr(sweeps_module, "find_local_counterexample", no_witness)
+    verdict = sweeps_module.verify_local_counterexample()
+    assert verdict == TheoremVerdict(
+        found.theorem,
+        found.parameter_range,
+        "FAIL",
+        {"searched": "caterpillars of order 13", "error": "no caterpillar of order 13 qualifies"},
+        (),
+    )
+    assert (verdict.theorem, verdict.parameter_range) == ("local-mean-below-global-witness", "n=14")
+    assert main(["verify", "local-mean"]) == 1
+    assert '"status": "FAIL"' in capsys.readouterr().out

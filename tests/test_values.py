@@ -2,7 +2,9 @@
 
 Equality, hashing, ``repr``, immutability, and copy/pickle round trips are
 pinned here for every public value type, independent of how the classes
-are implemented.  The producers that build values without the
+are implemented.  The plain records, which take their constructor from
+``graph.Value``, are built by position and by name, with and without
+their defaults, and with each kind of bad argument.  The producers that build values without the
 constructor's checks are cross-checked against the public constructor.
 """
 
@@ -38,9 +40,9 @@ from cographmean.poly import (
     phi_local_bruteforce,
     phi_local_cotree,
 )
-from cographmean.sweeps import LocalCounterexample
+from cographmean.sweeps import LocalCounterexample, Sweep
 from cographmean.verdict import TheoremVerdict
-from cographmean.verify import ExtremalReport
+from cographmean.verify import ExtremalClaim, ExtremalReport, Objective, _form_and_mean
 
 
 def _report(mean: Fraction = Fraction(7, 3)) -> ExtremalReport:
@@ -231,3 +233,83 @@ def test_unchecked_polynomials_pass_the_public_constructor(rng):
             _assert_valid_poly(p)
         assert phi_cotree(t) == phi_bruteforce(g)
         assert phi_local_cotree(t, leaf) == phi_local_bruteforce(g, leaf)
+
+
+# ---------------------------------------------------------------------------
+# the plain constructor of the records
+# ---------------------------------------------------------------------------
+
+
+def _rows(n_max):
+    yield f"checked up to {n_max}"
+
+
+def _form(n):
+    return "L"
+
+
+# class -> every field, by position, with no field at its default
+RECORDS = {
+    TheoremVerdict: ("t", "n=1..3", "FAIL", {"n": 3}, ("a",)),
+    ExtremalReport: ("cographs", 4, "max", (("J(L,L)", Fraction(7, 3)),), Fraction(1, 6)),
+    ExtremalClaim: (
+        "claim", Family.COGRAPHS, Objective.GLOBAL_MEAN_MAX, 1, 6, "table",
+        _form, lambda n: Fraction(n), lambda n, report: "line",
+    ),
+    Sweep: ("sweep", "n=1..{n_max}", _rows),
+    LocalCounterexample: (
+        Graph(2, (2, 1)), 1, Fraction(4, 3), Fraction(3, 2), Graph(1, (0,)), Fraction(1)
+    ),
+}
+RECORD_IDS = [cls.__name__ for cls in RECORDS]
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=RECORD_IDS)
+def test_records_built_by_position_and_by_name_are_equal(cls):
+    args = RECORDS[cls]
+    by_name = dict(zip(cls._fields, args))
+    value = cls(*args)
+    assert value == cls(**by_name) == cls(*args[:2], **dict(list(by_name.items())[2:]))
+    assert value._key() == args
+    assert "__init__" not in vars(cls)
+
+
+def test_records_fill_omitted_fields_from_their_defaults():
+    verdict = TheoremVerdict("t", "r", "PASS")
+    assert (verdict.witness, verdict.log) == (None, ())
+    assert verdict == TheoremVerdict("t", "r", "PASS", None, ())
+    assert TheoremVerdict("t", "r", "PASS", log=("a",)).log == ("a",)
+    claim = ExtremalClaim(*RECORDS[ExtremalClaim][:7])
+    assert claim.expected_mean(5) is None
+    assert claim.log_line is _form_and_mean
+    # a default never displaces a field that was given
+    assert ExtremalClaim(*RECORDS[ExtremalClaim]).expected_mean(5) == 5
+    # the other three records have no defaults
+    for cls in (ExtremalReport, Sweep, LocalCounterexample):
+        assert cls._defaults == {}
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=RECORD_IDS)
+def test_records_reject_bad_arguments_naming_the_class(cls):
+    args = RECORDS[cls]
+    by_name = dict(zip(cls._fields, args))
+    first = cls._fields[0]
+    name = cls.__qualname__
+    for bad_args, bad_kwargs, message in [
+        ((), {k: v for k, v in by_name.items() if k != first}, f"is missing {first}$"),
+        (args, {"extra": 1}, "has no field 'extra'"),
+        (args[:1], by_name, f"got field '{first}' twice"),
+        (args + (None,), {}, f"takes {len(args)} fields, got {len(args) + 1}"),
+    ]:
+        with pytest.raises(TypeError, match=rf"^{name}\(\) {message}"):
+            cls(*bad_args, **bad_kwargs)
+
+
+def test_verdict_replace_builds_a_new_verdict():
+    verdict = TheoremVerdict("t", "n=1..3", "PASS", None, ("a",))
+    failed = verdict.replace(status="FAIL", witness={"n": 2})
+    assert failed == TheoremVerdict("t", "n=1..3", "FAIL", {"n": 2}, ("a",))
+    assert verdict.status == "PASS" and verdict.witness is None
+    assert verdict.replace(log=verdict.log + ("b",)).log == ("a", "b")
+    with pytest.raises(TypeError, match="TheoremVerdict"):
+        verdict.replace(verdict="PASS")
