@@ -21,6 +21,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "cotree": (
         "Cotree",
+        "Family",
         "canonicalize",
         "complement_cotree",
         "complete",
@@ -37,8 +38,6 @@ _EXPORTS = {
         "star",
     ),
     "enumeration": (
-        "Family",
-        "GeneratorSpec",
         "canonical_graph",
         "enumerate_caterpillars",
         "enumerate_connected_graphs",

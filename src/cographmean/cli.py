@@ -21,15 +21,18 @@ import sys
 from fractions import Fraction
 
 from .cotree import (
+    ROOT_KINDS,
     Cotree,
+    Family,
     cotree_to_graph,
     format_cotree,
     graph_to_cotree,
     graph_to_cotree_with_leaves,
     parse_cotree,
 )
-# The enumerate parser takes its choices from Family, so this one stays eager.
-from .enumeration import _COTREE_FILTER, Family, GeneratorSpec, canonical_graph, generate
+# Only `enumerate` uses these.  They can move into _cmd_enumerate once
+# bench/selfcheck.py stops looking up cli.generate.
+from .enumeration import canonical_graph, generate
 from .errors import CographMeanError, ConfigError, NotACograph, VertexOutOfRange
 from .graph import Graph, emit_graph6, parse_graph6
 from .poly import (
@@ -182,8 +185,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     family = Family(args.family)
     emit = args.emit
     if emit is None:
-        emit = "cotree" if family in _COTREE_FILTER else "graph6"
-    items = generate(GeneratorSpec(family, args.order))
+        emit = "cotree" if family in ROOT_KINDS else "graph6"
+    items = generate(family, args.order)
     if family is Family.CONNECTED_GRAPHS:
         # Classes arrive in build order.  Print their canonical forms, in the
         # order of their codes, which is the order of their graph6 strings.

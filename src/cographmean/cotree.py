@@ -16,14 +16,10 @@ with at least two arguments per U/J node; whitespace is ignored.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
+from enum import Enum
 from itertools import chain, combinations_with_replacement, product
 
-from .errors import (
-    ArityError,
-    CotreeSyntaxError,
-    NotACograph,
-    OrderOutOfRange,
-)
+from .errors import ArityError, CotreeSyntaxError, NotACograph, OrderOutOfRange, UnknownFamily
 from .graph import (
     MAX_ORDER,
     Graph,
@@ -39,17 +35,45 @@ UNION = "union"
 JOIN = "join"
 
 _LETTER = {UNION: "U", JOIN: "J"}
-# The root kinds of the cotrees of order >= 2 of connected, disconnected or
-# all cographs, Join first, since every Join form sorts first ("J" < "U").
-ROOT_KINDS = {"connected": (JOIN,), "disconnected": (UNION,), "all": (JOIN, UNION)}
 
 
-def _root_kinds(n: int, connectivity: str) -> tuple[str, ...]:
-    """The root kinds of the order-n cotrees of a connectivity family: at
-    order 1 the lone leaf, which is connected, else ``ROOT_KINDS``."""
+class Family(str, Enum):
+    """The class families that ``generate`` streams and the searches range over."""
+
+    COGRAPHS = "cographs"
+    CONNECTED_COGRAPHS = "connected-cographs"
+    DISCONNECTED_COGRAPHS = "disconnected-cographs"
+    CONNECTED_GRAPHS = "connected-graphs"
+    CATERPILLARS = "caterpillars"
+
+    @classmethod
+    def _missing_(cls, value: object) -> None:
+        raise UnknownFamily(f"unknown family {value!r}")
+
+
+# The root kinds of the cotrees of order >= 2 of each cotree family, Join
+# first, since every Join form sorts first ("J" < "U").
+ROOT_KINDS = {
+    Family.COGRAPHS: (JOIN, UNION),
+    Family.CONNECTED_COGRAPHS: (JOIN,),
+    Family.DISCONNECTED_COGRAPHS: (UNION,),
+}
+
+
+def _cotree_family(family: Family | str) -> Family:
+    """``family`` as a member of ``Family`` that ``ROOT_KINDS`` keys."""
+    family = Family(family)
+    if family not in ROOT_KINDS:
+        raise UnknownFamily(f"{family.value} is not a cotree family")
+    return family
+
+
+def _root_kinds(n: int, family: Family) -> tuple[str, ...]:
+    """The root kinds of the order-n cotrees of a cotree family: at order 1
+    the lone leaf, which is connected, else ``ROOT_KINDS``."""
     if n == 1:
-        return () if connectivity == "disconnected" else (LEAF,)
-    return ROOT_KINDS[connectivity]
+        return () if family is Family.DISCONNECTED_COGRAPHS else (LEAF,)
+    return ROOT_KINDS[family]
 
 
 class Cotree(Value):
@@ -270,7 +294,7 @@ def complement_cotree(t: Cotree) -> Cotree:
 
 def is_connected_cograph(t: Cotree) -> bool:
     """The realized graph is connected iff the root is Join or a lone leaf."""
-    return t.kind in _root_kinds(t.leaf_count, "connected")
+    return t.kind != UNION
 
 
 # ---------------------------------------------------------------------------

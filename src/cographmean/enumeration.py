@@ -24,17 +24,17 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterator
-from enum import Enum
 from functools import lru_cache
 
 from .cotree import (
-    JOIN, LEAF, LEAF_TREE, ROOT_KINDS, UNION, Cotree, _root_kinds, compose, format_cotree
+    JOIN, LEAF, LEAF_TREE, UNION, Cotree, Family, _cotree_family, _root_kinds, compose,
+    format_cotree,
 )
 # canonicalize is no longer called here; bench/selfcheck.py still checks that
 # the tracer wraps it in this namespace.
 from .cotree import canonicalize  # noqa: F401
-from .errors import OrderOutOfRange, UnknownFamily
-from .graph import Graph, Value, _component, _triangle_adj, from_edge_list
+from .errors import OrderOutOfRange
+from .graph import Graph, _component, _triangle_adj, from_edge_list
 
 # The largest order whose full enumeration (``cographmean enumerate cographs
 # N``) was measured to finish within 60 s and 1 GB peak RSS on a 2-core host:
@@ -46,25 +46,6 @@ MAX_COTREE_LEAVES = 15
 # but would print 261,080 canonical forms.
 MAX_GRAPH_ENUM_ORDER = 8
 MAX_CATERPILLAR_ORDER = 20
-
-
-class Family(str, Enum):
-    COGRAPHS = "cographs"
-    CONNECTED_COGRAPHS = "connected-cographs"
-    DISCONNECTED_COGRAPHS = "disconnected-cographs"
-    CONNECTED_GRAPHS = "connected-graphs"
-    CATERPILLARS = "caterpillars"
-
-
-class GeneratorSpec(Value):
-    """A family and an order."""
-
-    __slots__ = _fields = ("family", "order")
-
-    def __init__(self, family: Family, order: int):
-        if order < 1:
-            raise OrderOutOfRange(f"order must be >= 1, got {order}")
-        self._store(family, order)
 
 
 # ---------------------------------------------------------------------------
@@ -99,19 +80,15 @@ def _cotree_pool(leaves: int, root_kind: str) -> tuple[Cotree, ...]:
     return tuple(out)
 
 
-def enumerate_cotrees(order: int, connectivity: str = "all") -> Iterator[Cotree]:
-    """Every canonical cotree with ``order`` leaves, in printed lexicographic order.
-
-    ``connectivity`` is "all", "connected" (Join-rooted, plus the lone leaf
-    at order 1), or "disconnected" (Union-rooted).
-    """
-    if connectivity not in ROOT_KINDS:
-        raise UnknownFamily(f"unknown connectivity filter {connectivity!r}")
+def enumerate_cotrees(order: int, family: Family = Family.COGRAPHS) -> Iterator[Cotree]:
+    """Every canonical cotree of a cotree family with ``order`` leaves, in
+    printed lexicographic order."""
+    family = _cotree_family(family)
     if not 1 <= order <= MAX_COTREE_LEAVES:
         raise OrderOutOfRange(
             f"cotree enumeration supports 1..{MAX_COTREE_LEAVES} leaves, got {order}"
         )
-    for kind in _root_kinds(order, connectivity):
+    for kind in _root_kinds(order, family):
         yield from _cotree_pool(order, kind)
 
 
@@ -365,18 +342,11 @@ def enumerate_caterpillars(order: int) -> Iterator[Graph]:
 # dispatch
 # ---------------------------------------------------------------------------
 
-_COTREE_FILTER = {
-    Family.COGRAPHS: "all",
-    Family.CONNECTED_COGRAPHS: "connected",
-    Family.DISCONNECTED_COGRAPHS: "disconnected",
-}
-
-
-def generate(spec: GeneratorSpec) -> Iterator[Cotree | Graph]:
-    """Stream the family named by ``spec``, every class once, in a fixed order."""
-    family = Family(spec.family)
+def generate(family: Family, order: int) -> Iterator[Cotree | Graph]:
+    """Stream ``family`` at ``order``, every class once, in a fixed order."""
+    family = Family(family)
     if family is Family.CONNECTED_GRAPHS:
-        return enumerate_connected_graphs(spec.order)
+        return enumerate_connected_graphs(order)
     if family is Family.CATERPILLARS:
-        return enumerate_caterpillars(spec.order)
-    return enumerate_cotrees(spec.order, _COTREE_FILTER[family])
+        return enumerate_caterpillars(order)
+    return enumerate_cotrees(order, family)

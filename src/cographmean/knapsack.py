@@ -32,7 +32,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .cotree import JOIN, LEAF, LEAF_TREE, UNION, Cotree, _root_kinds, compose
+from .cotree import (
+    JOIN, LEAF, LEAF_TREE, UNION, Cotree, Family, _cotree_family, _root_kinds, compose
+)
+from .errors import OrderOutOfRange
 from .poly import _pair_mean, _power_pair
 
 Entry = tuple[int, int, int]  # (w, V, D) of one tree
@@ -114,17 +117,17 @@ class _Tables:
             self.roots[JOIN][c + 1] = [_add(e, self.h[c + 1]) for e in best_parts]
             self.roots[UNION][c + 1] = self.knap[UNION][c][c + 1]
 
-    def family(self, connectivity: str, keep: int) -> list[Entry]:
+    def family(self, family: Family, keep: int) -> list[Entry]:
         """The top ``keep`` entries of the order-n trees in the family."""
-        roots = [self.roots[kind][self.n] for kind in _root_kinds(self.n, connectivity)]
+        roots = [self.roots[kind][self.n] for kind in _root_kinds(self.n, family)]
         return _top([e for entries in roots for e in entries], keep)
 
-    def best_family_trees(self, connectivity: str) -> list[Cotree]:
+    def best_family_trees(self, family: Family) -> list[Cotree]:
         """Every order-n tree of the family with the family's best score."""
-        top = self.family(connectivity, 1)
+        top = self.family(family, 1)
         return [
             tree
-            for kind in _root_kinds(self.n, connectivity)
+            for kind in _root_kinds(self.n, family)
             if self.roots[kind][self.n][0][0] == top[0][0]
             for tree in self.best_trees(kind, self.n)
         ]
@@ -161,7 +164,7 @@ class _Tables:
 
 def _dinkelbach(
     n: int,
-    connectivity: str,
+    family: Family,
     sign: int,
     keep: int,
     lam: Fraction,
@@ -177,35 +180,37 @@ def _dinkelbach(
     """
     while True:
         tables = _Tables(n, lam, sign, keep)
-        entries = [e for e in tables.family(connectivity, keep) if _pair_mean(e[1:]) != excluded]
+        entries = [e for e in tables.family(family, keep) if _pair_mean(e[1:]) != excluded]
         if not entries or entries[0][0] == 0:
             return tables, entries
         lam = _pair_mean(entries[0][1:])
 
 
 def extremal_cotrees(
-    n: int, connectivity: str, maximize: bool, start: Fraction | None = None
+    n: int, family: Family, maximize: bool, start: Fraction | None = None
 ) -> tuple[tuple[tuple[str, Fraction], ...], Fraction | None]:
     """The winners, as (printed form, mean) sorted by form, and the gap to
     the best strictly worse mean (None if every tree is a winner), of the
-    global mean over the order-n cotrees that are "connected",
-    "disconnected" or "all".
+    global mean over the order-n cotrees of a cotree family.
 
     The search starts at λ = ``start`` (0 if None).  Started at the
     extremal mean, it needs one table to certify it, and that table's
     second entry, the best-scoring other tree, seeds the runner-up search.
     """
+    family = _cotree_family(family)
+    if n < 1:
+        raise OrderOutOfRange(f"a cotree has at least 1 leaf, got {n}")
     sign = 1 if maximize else -1
     lam = Fraction(0) if start is None else start
-    tables, top = _dinkelbach(n, connectivity, sign, 2, lam, None)
+    tables, top = _dinkelbach(n, family, sign, 2, lam, None)
     if not top:
         return (), None
     best = _pair_mean(top[0][1:])
-    forms = sorted(tree.form for tree in tables.best_family_trees(connectivity))
+    forms = sorted(tree.form for tree in tables.best_family_trees(family))
     winners = tuple((form, best) for form in forms)
     if len(top) == 1:  # a family of one tree has no runner-up
         return winners, None
     _, runner_up = _dinkelbach(
-        n, connectivity, sign, len(forms) + 1, _pair_mean(top[1][1:]), best
+        n, family, sign, len(forms) + 1, _pair_mean(top[1][1:]), best
     )
     return winners, None if not runner_up else abs(best - _pair_mean(runner_up[0][1:]))

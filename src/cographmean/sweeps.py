@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 from math import comb
 
-from .cotree import LEAF, UNION, Cotree, star
+from .cotree import LEAF, UNION, Cotree, Family, star
 from .enumeration import (
     MAX_CATERPILLAR_ORDER,
     _caterpillar_graph,
@@ -88,9 +88,7 @@ def _bipartite(s: int, n: int, mstar: bool = False) -> Pair:
     return (value, deriv) if mstar else (n + value, n + deriv)
 
 
-# A cotree's children are cotrees of the pools built before it, so the pairs
-# of the last few thousand trees seen spare nearly every recursion.
-@lru_cache(maxsize=1 << 12)
+@lru_cache(maxsize=None)
 def _pair(t: Cotree) -> Pair:
     """(Phi(1), Phi'(1)) of the cograph of ``t``.
 
@@ -385,7 +383,7 @@ def _star_max_mstar_rows(n_max: int) -> Iterator[dict | str]:
     for n in range(1, n_max + 1):
         bound = _mstar_pair(star(n))
         ties = []
-        for t in enumerate_cotrees(n, "all"):
+        for t in enumerate_cotrees(n):
             pair = _mstar_pair(t)
             ahead = _cmp_means(pair, bound)
             if ahead > 0:
@@ -402,7 +400,7 @@ def _local_floor_rows(n_max: int) -> Iterator[dict | str]:
     # A local mean D/V is compared as 2D against (n+1)V.
     equality_hits = 0
     for n in range(1, n_max + 1):
-        for t in enumerate_cotrees(n, "connected"):
+        for t in enumerate_cotrees(n, Family.CONNECTED_COGRAPHS):
             for leaf, (value, deriv) in enumerate(_leaf_pairs(t)[1]):
                 twice, floor = 2 * deriv, (n + 1) * value
                 if twice < floor:
@@ -419,7 +417,7 @@ def _local_dominates_rows(n_max: int) -> Iterator[dict | str]:
     # Local means dominate the global mean on connected cographs; only the
     # single vertex achieves equality.
     for n in range(1, n_max + 1):
-        for t in enumerate_cotrees(n, "connected"):
+        for t in enumerate_cotrees(n, Family.CONNECTED_COGRAPHS):
             whole, leaves = _leaf_pairs(t)
             for leaf, local in enumerate(leaves):
                 ahead = _cmp_means(local, whole)
@@ -443,7 +441,7 @@ def _biconnected_surplus_rows(n_max: int) -> Iterator[dict | str]:
     # holds v or is one of G - v, so Phi_{G-v}(1) = Phi_G(1) - L_v(1).
     checked = 0
     for n in range(4, n_max + 1):
-        for t in enumerate_cotrees(n, "connected"):
+        for t in enumerate_cotrees(n, Family.CONNECTED_COGRAPHS):
             if _cut_leaf(t) is not None:
                 continue
             checked += 1
@@ -456,12 +454,12 @@ def _biconnected_surplus_rows(n_max: int) -> Iterator[dict | str]:
 def _connected_mean_growth_rows(n_max: int) -> Iterator[dict | str]:
     # Means of connected cographs strictly exceed those of all smaller
     # cographs, connected or not.
-    def extreme(n: int, connectivity: str, lowest: bool) -> Pair:
-        pairs = map(_pair, enumerate_cotrees(n, connectivity))
-        return (min if lowest else max)(pairs, key=cmp_to_key(_cmp_means))
+    def extreme(n: int, family: Family, pick: Callable) -> Pair:
+        return pick(map(_pair, enumerate_cotrees(n, family)), key=cmp_to_key(_cmp_means))
 
-    min_connected = {n: extreme(n, "connected", True) for n in range(1, n_max + 1)}
-    max_any = {n: extreme(n, "all", False) for n in range(1, n_max + 1)}
+    orders = range(1, n_max + 1)
+    min_connected = {n: extreme(n, Family.CONNECTED_COGRAPHS, min) for n in orders}
+    max_any = {n: extreme(n, Family.COGRAPHS, max) for n in orders}
     for n in range(2, n_max + 1):
         for m in range(1, n):
             if _cmp_means(min_connected[n], max_any[m]) <= 0:
@@ -472,7 +470,7 @@ def _component_cap_rows(n_max: int) -> Iterator[dict | str]:
     # A cograph whose components all have order at most s has mean at most
     # (s+1)/2, with equality exactly when s = 1: 2D against (s+1)V.
     for n in range(1, n_max + 1):
-        for t in enumerate_cotrees(n, "all"):
+        for t in enumerate_cotrees(n):
             s = max(c.leaf_count for c in t.children) if t.kind == UNION else n
             value, deriv = _pair(t)
             twice, bound = 2 * deriv, (s + 1) * value
@@ -499,9 +497,9 @@ STRUCTURAL = (
 
 
 # The cographs of each order number about three times those of the order
-# before (43,930 at 12).  ``cographmean verify local-mean --nmax N``, five
-# fresh processes each on a 2-core host: 0.49-0.55 s and 19 MB peak RSS at
-# N = 10, 0.99-1.78 s and 22 MB at 11, 3.3-5.6 s and 33 MB at 12.
+# before (43,930 at 12), and ``_pair`` keeps them all.  ``verify local-mean
+# --nmax N``, five fresh processes each on a 2-core host: 0.27-0.34 s and
+# 19 MB peak RSS at N = 10, 0.57-0.83 s and 25 MB at 11, 1.7-2.2 s and 44 MB at 12.
 MAX_STRUCTURAL_ORDER = 12
 
 

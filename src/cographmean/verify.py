@@ -21,8 +21,10 @@ from enum import Enum
 from fractions import Fraction
 
 from .cotree import (
+    ROOT_KINDS,
     UNION,
     Cotree,
+    Family,
     LEAF_TREE,
     canonicalize,
     complete,
@@ -33,15 +35,7 @@ from .cotree import (
     skillet,
     star,
 )
-from .enumeration import (
-    _COTREE_FILTER,
-    Family,
-    GeneratorSpec,
-    _extend,
-    _max_degree_extensions,
-    canonical_graph,
-    generate,
-)
+from .enumeration import _extend, _max_degree_extensions, canonical_graph, generate
 from .errors import OrderOutOfRange, RangeError
 from .graph import (
     MAX_ORDER,
@@ -95,9 +89,9 @@ class ExtremalReport(Value):
 
 
 def _report(
-    spec: GeneratorSpec, objective: Objective, winners: tuple, gap: Fraction | None
+    family: Family, order: int, objective: Objective, winners: tuple, gap: Fraction | None
 ) -> ExtremalReport:
-    return ExtremalReport(Family(spec.family).value, spec.order, objective.value, winners, gap)
+    return ExtremalReport(Family(family).value, order, objective.value, winners, gap)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +184,7 @@ def _extremes(scored: Iterable[tuple], ahead: Callable) -> tuple:
     return best, tied, second
 
 
-def extremal_search(spec: GeneratorSpec, objective: Objective) -> ExtremalReport:
+def extremal_search(family: Family, order: int, objective: Objective) -> ExtremalReport:
     """Exact argmax/argmin of the global mean over one enumerated family.
 
     All tied winners are reported, sorted by canonical form;
@@ -204,20 +198,19 @@ def extremal_search(spec: GeneratorSpec, objective: Objective) -> ExtremalReport
     def mean(item: Cotree | Graph) -> Fraction:
         return global_mean(phi_cotree(item) if isinstance(item, Cotree) else phi_bruteforce(item))
 
-    best, tied, second = _extremes(
-        ((item, mean(item)) for item in generate(spec)), lambda a, b: sign * (a - b)
-    )
+    scored = ((item, mean(item)) for item in generate(family, order))
+    best, tied, second = _extremes(scored, lambda a, b: sign * (a - b))
     winners = sorted(
         (format_cotree(item) if isinstance(item, Cotree)
          else emit_graph6(canonical_graph(item)), best)
         for item in tied
     )
     gap = None if second is None else abs(best - second)
-    return _report(spec, objective, tuple(winners), gap)
+    return _report(family, order, objective, tuple(winners), gap)
 
 
 def knapsack_search(
-    spec: GeneratorSpec, objective: Objective, start: Fraction | None = None
+    family: Family, order: int, objective: Objective, start: Fraction | None = None
 ) -> ExtremalReport:
     """The report :func:`extremal_search` gives on a cotree family, computed
     by :func:`~cographmean.knapsack.extremal_cotrees` without enumerating
@@ -227,11 +220,9 @@ def knapsack_search(
     from .knapsack import extremal_cotrees
 
     objective = Objective(objective)
-    winners, gap = extremal_cotrees(
-        spec.order, _COTREE_FILTER[Family(spec.family)],
-        objective is Objective.GLOBAL_MEAN_MAX, start,
-    )
-    return _report(spec, objective, winners, gap)
+    maximize = objective is Objective.GLOBAL_MEAN_MAX
+    winners, gap = extremal_cotrees(order, family, maximize, start)
+    return _report(family, order, objective, winners, gap)
 
 
 def _subset_term(base: tuple[int, ...], subset: int) -> tuple[int, int]:
@@ -314,7 +305,7 @@ def _scored_extensions(order: int) -> Iterator[tuple[tuple[int, ...], int, int, 
             yield base, nbrs, base_v + v, base_d + d
 
 
-def graph_search(spec: GeneratorSpec, objective: Objective) -> ExtremalReport:
+def graph_search(order: int, objective: Objective) -> ExtremalReport:
     """The report :func:`extremal_search` gives on connected graphs, scored
     on the one-vertex extensions of the classes one order down.
 
@@ -325,19 +316,22 @@ def graph_search(spec: GeneratorSpec, objective: Objective) -> ExtremalReport:
     may arise more than once, so the tied extensions are deduplicated by
     printed form.
     """
+    if order < 1:
+        raise OrderOutOfRange(f"graph search needs order >= 1, got {order}")
     objective = Objective(objective)
     sign = 1 if objective is Objective.GLOBAL_MEAN_MAX else -1
     best, tied, second = _extremes(
-        (((base, nbrs), (v, d)) for base, nbrs, v, d in _scored_extensions(spec.order)),
+        (((base, nbrs), (v, d)) for base, nbrs, v, d in _scored_extensions(order)),
         lambda x, y: sign * _cmp_means(x, y),
     )
     mean = _pair_mean(best)
     forms = {
-        emit_graph6(canonical_graph(Graph._make(spec.order, _extend(base, nbrs))))
+        emit_graph6(canonical_graph(Graph._make(order, _extend(base, nbrs))))
         for base, nbrs in tied
     }
     gap = None if second is None else abs(mean - _pair_mean(second))
-    return _report(spec, objective, tuple((form, mean) for form in sorted(forms)), gap)
+    winners = tuple((form, mean) for form in sorted(forms))
+    return _report(Family.CONNECTED_GRAPHS, order, objective, winners, gap)
 
 
 def _recheck_by_phi_cotree(report: ExtremalReport) -> bool:
@@ -377,14 +371,14 @@ def run_claim(claim: ExtremalClaim, n_max: int) -> TheoremVerdict:
         raise OrderOutOfRange(
             f"{claim.range_label} supports {claim.lo}..{claim.hi}, got {n_max}"
         )
-    cotrees = claim.family in _COTREE_FILTER
+    cotrees = claim.family in ROOT_KINDS
     log, witness = [], None
     for n in range(claim.lo, n_max + 1):
-        spec, expected_mean = GeneratorSpec(claim.family, n), claim.expected_mean(n)
+        expected_mean = claim.expected_mean(n)
         if cotrees:
-            report = knapsack_search(spec, claim.objective, expected_mean)
+            report = knapsack_search(claim.family, n, claim.objective, expected_mean)
         else:
-            report = graph_search(spec, claim.objective)
+            report = graph_search(n, claim.objective)
         if not (
             report.is_unique
             and report.winner_form == claim.expected_form(n)

@@ -22,7 +22,6 @@ from conftest import random_cotree
 
 from cographmean import (
     Family,
-    GeneratorSpec,
     Objective,
     cotree_to_graph,
     density,
@@ -73,9 +72,7 @@ def test_criterion_02_star_is_unique_max_orders_7_to_12():
     start = time.monotonic()
     ok = True
     for n in range(7, 13):
-        report = extremal_search(
-            GeneratorSpec(Family.CONNECTED_COGRAPHS, n), Objective.GLOBAL_MEAN_MAX
-        )
+        report = extremal_search(Family.CONNECTED_COGRAPHS, n, Objective.GLOBAL_MEAN_MAX)
         expected = Fraction(n + 1, 2) - Fraction(
             (n - 1) ** 2, 2 * (2 ** (n - 1) + n - 1)
         )
@@ -94,9 +91,7 @@ def test_criterion_02_star_is_unique_max_orders_7_to_12():
 def test_criterion_03_skillet_is_unique_min_orders_3_to_12():
     ok = True
     for n in range(3, 13):
-        report = extremal_search(
-            GeneratorSpec(Family.CONNECTED_COGRAPHS, n), Objective.GLOBAL_MEAN_MIN
-        )
+        report = extremal_search(Family.CONNECTED_COGRAPHS, n, Objective.GLOBAL_MEAN_MIN)
         expected = Fraction(n, 2) + Fraction(1, 3 * 2 ** (n - 2))
         ok = ok and report.is_unique
         ok = ok and report.winner_form == format_cotree(skillet(n))
@@ -111,9 +106,7 @@ def test_criterion_04_disconnected_max_orders_2_to_10():
     ok = verdict.passed
     # from order 8 on, the winner is an isolated vertex plus a spanning star
     for n in range(8, 11):
-        report = extremal_search(
-            GeneratorSpec(Family.DISCONNECTED_COGRAPHS, n), Objective.GLOBAL_MEAN_MAX
-        )
+        report = extremal_search(Family.DISCONNECTED_COGRAPHS, n, Objective.GLOBAL_MEAN_MAX)
         expected = Fraction((n - 1) + n * 2 ** (n - 3), (n - 1) + 2 ** (n - 2))
         ok = ok and report.is_unique and report.winner_mean == expected
     _criterion(
@@ -212,7 +205,7 @@ def test_criterion_08_local_mean_floor_and_dominance():
     equality_seen = 0
     for n in range(1, 9):
         floor = Fraction(n + 1, 2)
-        for t in enumerate_cotrees(n, "connected"):
+        for t in enumerate_cotrees(n, Family.CONNECTED_COGRAPHS):
             g_mean = global_mean(phi_cotree(t))
             ok = ok and g_mean <= floor
             for v in range(n):
@@ -299,7 +292,7 @@ def test_criterion_12_density_bounds():
     ok = True
     for n in range(1, 11):
         lo, hi = Fraction(n, 2), Fraction(n + 1, 2)
-        for t in enumerate_cotrees(n, "connected"):
+        for t in enumerate_cotrees(n, Family.CONNECTED_COGRAPHS):
             mean = global_mean(phi_cotree(t))
             ok = ok and (lo < mean <= hi)
             ok = ok and (mean == hi) == (n == 1)
@@ -343,12 +336,8 @@ def test_optin_path_min_order_8():
 def test_optin_star_skillet_orders_13_14():
     ok = True
     for n in (13, 14):
-        top = extremal_search(
-            GeneratorSpec(Family.CONNECTED_COGRAPHS, n), Objective.GLOBAL_MEAN_MAX
-        )
-        bottom = extremal_search(
-            GeneratorSpec(Family.CONNECTED_COGRAPHS, n), Objective.GLOBAL_MEAN_MIN
-        )
+        top = extremal_search(Family.CONNECTED_COGRAPHS, n, Objective.GLOBAL_MEAN_MAX)
+        bottom = extremal_search(Family.CONNECTED_COGRAPHS, n, Objective.GLOBAL_MEAN_MIN)
         ok = ok and top.winner_form == format_cotree(star(n))
         ok = ok and bottom.winner_form == format_cotree(skillet(n))
     _criterion(

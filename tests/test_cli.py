@@ -21,6 +21,7 @@ import cographmean
 
 from cographmean import (
     Cotree,
+    Family,
     Graph,
     MeanFamily,
     closed_form_means,
@@ -455,6 +456,13 @@ def test_cotree_enumeration_past_the_cap_is_usage_error(capsys):
     )
 
 
+@pytest.mark.parametrize("family", [f.value for f in Family])
+def test_enumerate_order_zero_is_usage_error(capsys, family):
+    code, out, err = run(capsys, "enumerate", family, "0")
+    assert_usage_error(code, out, err)
+    assert "supports" in err and err.rstrip().endswith("got 0")
+
+
 def test_closed_stdout_exits_141_without_traceback(tmp_path):
     # 600 kB of output: more than a pipe holds, so the writer is still
     # writing when the reader goes away.
@@ -517,12 +525,48 @@ def test_mean_and_reliability_load_only_the_counting_modules(argv, expected):
     assert _package_modules(imported) == {
         "cographmean",
         "cographmean.cotree",
-        # the enumerate parser takes its choices from Family
+        # bench/selfcheck.py looks up cli.generate, so cli imports it eagerly
         "cographmean.enumeration",
         "cographmean.errors",
         "cographmean.graph",
         "cographmean.poly",
     }
+
+
+# What every command needs: ``cli`` and the modules it imports at start-up.
+_STARTUP = {"cli", "cotree", "enumeration", "errors", "graph", "poly"}
+# command -> the package modules it loads beyond those
+_LOADS = {
+    "mean L": set(),
+    "reliability J(L,L) --p 1/2": set(),
+    "enumerate cographs 3": set(),
+    "verify table1": {"knapsack", "verdict", "verify"},
+    "verify table2 --nmax 3": {"verdict", "verify"},
+    "verify local-mean --nmax 2": {"sweeps", "verdict"},
+    "verify inequalities --nmax 9": {"sweeps", "verdict"},
+}
+
+
+@pytest.mark.parametrize("command", _LOADS)
+def test_each_command_loads_only_the_modules_it_runs(command):
+    """Start-up is most of a short command, so the package modules each
+    command loads are pinned: a new eager import has to change this table."""
+    script = (
+        "import contextlib, io, sys\n"
+        "from cographmean.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(sys.argv[1:])\n"
+        "print(code, *sorted(m for m in sys.modules if m.startswith('cographmean.')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cographmean.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, *shlex.split(command)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    code, *modules = done.stdout.split()
+    assert code == "0"
+    assert set(modules) == {f"cographmean.{m}" for m in _STARTUP | _LOADS[command]}
 
 
 def test_fresh_verify_and_enumerate_print_what_they_printed_before():

@@ -24,17 +24,17 @@ import cographmean
 
 from cographmean import (
     Family,
-    GeneratorSpec,
     canonical_graph,
     enumerate_caterpillars,
     enumerate_connected_graphs,
     enumerate_cotrees,
     format_cotree,
     from_edge_list,
+    generate,
     graph_to_cotree,
     is_connected,
 )
-from cographmean.cotree import JOIN, LEAF, UNION, canonicalize, cotree_to_graph
+from cographmean.cotree import JOIN, LEAF, ROOT_KINDS, UNION, canonicalize, cotree_to_graph
 from cographmean.enumeration import (
     MAX_COTREE_LEAVES,
     _cells,
@@ -42,9 +42,17 @@ from cographmean.enumeration import (
     _graph_classes,
     _min_code,
 )
-from cographmean.errors import OrderOutOfRange
+from cographmean.errors import OrderOutOfRange, UnknownFamily
 from cographmean.graph import Graph, _triangle_adj, emit_graph6, parse_graph6
-from cographmean.verify import PATH_MIN, TABLE2, extremal_search
+from cographmean.knapsack import extremal_cotrees
+from cographmean.verify import (
+    PATH_MIN,
+    TABLE2,
+    Objective,
+    extremal_search,
+    graph_search,
+    knapsack_search,
+)
 
 
 # OEIS A000084 (cographs) and A000669 (connected cographs)
@@ -60,15 +68,23 @@ CONNECTED_COTREE_COUNTS = {
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_cotree_counts(n):
+    counts = {
+        Family.COGRAPHS: COTREE_COUNTS[n],
+        Family.CONNECTED_COGRAPHS: CONNECTED_COTREE_COUNTS[n],
+        Family.DISCONNECTED_COGRAPHS: COTREE_COUNTS[n] - CONNECTED_COTREE_COUNTS[n],
+    }
+    assert {family: sum(1 for _ in generate(family, n)) for family in counts} == counts
     assert sum(1 for _ in enumerate_cotrees(n)) == COTREE_COUNTS[n]
-    assert (
-        sum(1 for _ in enumerate_cotrees(n, "connected"))
-        == CONNECTED_COTREE_COUNTS[n]
-    )
-    assert (
-        sum(1 for _ in enumerate_cotrees(n, "disconnected"))
-        == COTREE_COUNTS[n] - CONNECTED_COTREE_COUNTS[n]
-    )
+
+
+@pytest.mark.parametrize(
+    "family", [Family.CONNECTED_GRAPHS, Family.CATERPILLARS, "connected", "all", "graphs"]
+)
+def test_cotree_generators_take_only_cotree_families(family):
+    with pytest.raises(UnknownFamily):
+        next(enumerate_cotrees(3, family))
+    with pytest.raises(UnknownFamily):
+        extremal_cotrees(3, family, True)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -77,7 +93,7 @@ def test_cotree_counts_against_p4_free_filter(n):
     classes = [Graph(n, adj) for adj in _graph_classes(n)]
     cographs = [g for g in classes if not has_induced_p4(g)]
     assert sum(1 for _ in enumerate_cotrees(n)) == len(cographs)
-    assert sum(1 for _ in enumerate_cotrees(n, "connected")) == sum(
+    assert sum(1 for _ in enumerate_cotrees(n, Family.CONNECTED_COGRAPHS)) == sum(
         1 for g in cographs if is_connected(g)
     )
 
@@ -130,7 +146,7 @@ GRAPH_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_connected_graph_counts(n):
-    assert sum(1 for _ in enumerate_connected_graphs(n)) == GRAPH_COUNTS[n]
+    assert sum(1 for _ in generate(Family.CONNECTED_GRAPHS, n)) == GRAPH_COUNTS[n]
 
 
 # OEIS A000088: graphs on n unlabelled vertices
@@ -284,7 +300,7 @@ def test_winner_forms_are_the_canonical_form_of_a_relabelled_copy(rng):
     # winners are put in canonical form, and any labelling must print alike.
     for claim in (TABLE2, PATH_MIN):
         for n in range(claim.lo, 8):
-            report = extremal_search(GeneratorSpec(claim.family, n), claim.objective)
+            report = extremal_search(claim.family, n, claim.objective)
             for form, _ in report.winners:
                 perm = list(range(n))
                 rng.shuffle(perm)
@@ -350,7 +366,7 @@ CATERPILLAR_COUNTS = {2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 10}
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_caterpillar_counts(n):
-    assert sum(1 for _ in enumerate_caterpillars(n)) == CATERPILLAR_COUNTS[n]
+    assert sum(1 for _ in generate(Family.CATERPILLARS, n)) == CATERPILLAR_COUNTS[n]
 
 
 def _is_caterpillar_tree(g: Graph) -> bool:
@@ -391,8 +407,16 @@ def test_caterpillars_are_pairwise_nonisomorphic():
 
 
 def test_generator_spec_validation():
-    with pytest.raises(OrderOutOfRange):
-        GeneratorSpec(Family.COGRAPHS, 0)
+    # Each generator checks the order itself, and names its own range; so
+    # do the searches that enumerate nothing.
+    for family in Family:
+        with pytest.raises(OrderOutOfRange, match="supports .*, got 0"):
+            next(generate(family, 0))
+    for family in ROOT_KINDS:
+        with pytest.raises(OrderOutOfRange, match="got 0"):
+            knapsack_search(family, 0, Objective.GLOBAL_MEAN_MAX)
+    with pytest.raises(OrderOutOfRange, match="got 0"):
+        graph_search(0, Objective.GLOBAL_MEAN_MAX)
 
 
 def test_streams_are_deterministic():

@@ -14,9 +14,8 @@ from fractions import Fraction
 import pytest
 
 from cographmean import verify as verify_module
+from cographmean.cotree import Family
 from cographmean.enumeration import (
-    Family,
-    GeneratorSpec,
     _extend,
     _max_degree_extensions,
     canonical_graph,
@@ -38,10 +37,6 @@ from conftest import oracle_esu_counts
 CONNECTED_GRAPH_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 
 
-def _spec(n: int) -> GeneratorSpec:
-    return GeneratorSpec(Family.CONNECTED_GRAPHS, n)
-
-
 def _form(order: int, adj: tuple[int, ...]) -> str:
     return emit_graph6(canonical_graph(Graph(order, adj)))
 
@@ -55,7 +50,7 @@ def _count_through_new(base: tuple[int, ...], nbrs: int) -> tuple[int, int]:
 @pytest.mark.parametrize("objective", list(Objective))
 @pytest.mark.parametrize("n", [*range(1, 8), pytest.param(8, marks=pytest.mark.slow)])
 def test_graph_search_reports_what_extremal_search_reports(n, objective):
-    assert graph_search(_spec(n), objective) == extremal_search(_spec(n), objective)
+    assert graph_search(n, objective) == extremal_search(Family.CONNECTED_GRAPHS, n, objective)
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -132,7 +127,7 @@ P4_AT_2 = (P3, 0b100, (2, 5, 10, 4))
 
 def test_tie_between_two_extensions_of_one_class_is_unique(monkeypatch):
     _inject(monkeypatch, [STAR_ON_P3, P4_AT_0, P4_AT_2])
-    report = graph_search(_spec(4), Objective.GLOBAL_MEAN_MIN)
+    report = graph_search(4, Objective.GLOBAL_MEAN_MIN)
     assert report.winners == ((_form(4, P4_AT_0[2]), Fraction(2)),)
     assert report.is_unique
     assert report.runner_up_gap == Fraction(23, 11) - 2
@@ -145,7 +140,7 @@ def test_tie_between_two_classes_is_not_unique(monkeypatch):
     star = ((14, 1, 1, 1), 0b0001, (30, 1, 1, 1, 1))
     k5_minus_edge = ((14, 13, 3, 3), 0b1111, (30, 29, 19, 19, 15))
     _inject(monkeypatch, [path, star, k5_minus_edge])
-    report = graph_search(_spec(5), Objective.GLOBAL_MEAN_MAX)
+    report = graph_search(5, Objective.GLOBAL_MEAN_MAX)
     assert report.winners == tuple(
         sorted((_form(5, ext[2]), Fraction(13, 5)) for ext in (star, k5_minus_edge))
     )
@@ -154,7 +149,7 @@ def test_tie_between_two_classes_is_not_unique(monkeypatch):
 
 
 def test_connected_graph_claims_search_by_graph_search(monkeypatch):
-    def refuse(spec, objective):
+    def refuse(*args):
         raise AssertionError("extremal_search is only a test oracle")
 
     monkeypatch.setattr(verify_module, "extremal_search", refuse)

@@ -10,10 +10,10 @@ from pathlib import Path
 import pytest
 
 import cographmean
-from cographmean import ExtremalReport, Family, GeneratorSpec, Objective, extremal_search
+from cographmean import ExtremalReport, Family, Objective, extremal_search
 from cographmean import knapsack as knapsack_module
 from cographmean import verify as verify_module
-from cographmean.enumeration import _COTREE_FILTER, enumerate_cotrees
+from cographmean.enumeration import enumerate_cotrees
 from cographmean.knapsack import _Tables, extremal_cotrees
 from cographmean.poly import phi_cotree
 from cographmean.verify import (
@@ -24,6 +24,8 @@ from cographmean.verify import (
     knapsack_search,
     run_claim,
 )
+
+COTREE_FAMILIES = [Family.CONNECTED_COGRAPHS, Family.DISCONNECTED_COGRAPHS, Family.COGRAPHS]
 
 
 @pytest.mark.parametrize("objective", list(Objective))
@@ -37,8 +39,7 @@ from cographmean.verify import (
 )
 def test_knapsack_matches_enumeration(family, n_max, objective):
     for n in range(1, n_max + 1):
-        spec = GeneratorSpec(family, n)
-        assert knapsack_search(spec, objective) == extremal_search(spec, objective)
+        assert knapsack_search(family, n, objective) == extremal_search(family, n, objective)
 
 
 def test_tables_rank_and_rebuild_like_enumeration():
@@ -47,10 +48,10 @@ def test_tables_rank_and_rebuild_like_enumeration():
     rng = random.Random(8)
     ties = 0
     for n in range(1, 8):
-        for connectivity in ("connected", "disconnected", "all"):
+        for family in COTREE_FAMILIES:
             trees = [
                 (t.form, phi_cotree(t).value_at_one(), phi_cotree(t).derivative_at_one())
-                for t in enumerate_cotrees(n, connectivity)
+                for t in enumerate_cotrees(n, family)
             ]
             lams = {Fraction(3, 2)}
             for _ in range(12 if trees else 0):
@@ -67,10 +68,10 @@ def test_tables_rank_and_rebuild_like_enumeration():
                     )
                     for keep in (1, 2, 4):
                         tables = _Tables(n, lam, sign, keep)
-                        top = [w for w, _, _ in tables.family(connectivity, keep)]
+                        top = [w for w, _, _ in tables.family(family, keep)]
                         assert top == [w for w, _ in scores[:keep]]
                     best = sorted(f for w, f in scores if w == scores[0][0])
-                    rebuilt = tables.best_family_trees(connectivity)
+                    rebuilt = tables.best_family_trees(family)
                     assert sorted(t.form for t in rebuilt) == best
                     ties += len(best) > 1
     assert ties > 0
@@ -88,7 +89,7 @@ def test_wrong_expected_form_fails_alike_on_both_paths(monkeypatch, claim, n_max
     monkeypatch.setattr(
         verify_module,
         "knapsack_search",
-        lambda spec, objective, start: extremal_search(spec, objective),
+        lambda family, n, objective, start: extremal_search(family, n, objective),
     )
     by_enumeration = run_claim(wrong, n_max).to_json_dict()
     assert by_knapsack["status"] == "FAIL"
@@ -119,7 +120,7 @@ def test_cotree_claims_build_no_pool():
 COTREE_CLAIMS = [TABLE1, STAR_MAX, SKILLET_MIN, DISCONNECTED_MAX]
 
 
-def cold_start(n, connectivity, maximize):
+def cold_start(n, family, maximize):
     """The search as first written: Dinkelbach from λ = 0 keeping one entry,
     then the runner-up search seeded at the best mean."""
     sign = 1 if maximize else -1
@@ -128,7 +129,7 @@ def cold_start(n, connectivity, maximize):
         while True:
             tables = knapsack_module._Tables(n, lam, sign, keep)
             entry = next(
-                (e for e in tables.family(connectivity, keep)
+                (e for e in tables.family(family, keep)
                  if Fraction(e[2], e[1]) != excluded),
                 None,
             )
@@ -140,15 +141,14 @@ def cold_start(n, connectivity, maximize):
     if top is None:
         return (), None
     best = Fraction(top[2], top[1])
-    forms = sorted(t.form for t in tables.best_family_trees(connectivity))
+    forms = sorted(t.form for t in tables.best_family_trees(family))
     _, runner_up = extreme(len(forms) + 1, best, best)
     gap = None if runner_up is None else abs(best - Fraction(runner_up[2], runner_up[1]))
     return tuple((form, best) for form in forms), gap
 
 
 def _cold_report(claim, n):
-    family = _COTREE_FILTER[claim.family]
-    winners, gap = cold_start(n, family, claim.objective is Objective.GLOBAL_MEAN_MAX)
+    winners, gap = cold_start(n, claim.family, claim.objective is Objective.GLOBAL_MEAN_MAX)
     return ExtremalReport(claim.family.value, n, claim.objective.value, winners, gap)
 
 
@@ -156,13 +156,12 @@ def _check_warm_starts(claim, orders, steps):
     """At each order, the claimed mean (None for no claim) and the true
     mean one step above and below it give the cold start's report."""
     for n in orders:
-        spec = GeneratorSpec(claim.family, n)
         cold = _cold_report(claim, n)
         truth = cold.winner_mean
         starts = [claim.expected_mean(n)]
         starts += [truth + sign * step for step in steps for sign in (1, -1)]
         for start in starts:
-            assert knapsack_search(spec, claim.objective, start) == cold, (n, start)
+            assert knapsack_search(claim.family, n, claim.objective, start) == cold, (n, start)
 
 
 @pytest.mark.parametrize("claim", COTREE_CLAIMS, ids=lambda c: c.theorem)
@@ -179,12 +178,10 @@ def test_warm_start_gives_the_cold_report_to_order_64(claim):
 
 
 @pytest.mark.parametrize("maximize", [True, False])
-@pytest.mark.parametrize("connectivity", ["connected", "disconnected", "all"])
-def test_no_start_gives_the_cold_results(connectivity, maximize):
+@pytest.mark.parametrize("family", COTREE_FAMILIES, ids=["connected", "disconnected", "all"])
+def test_no_start_gives_the_cold_results(family, maximize):
     for n in range(1, 13):
-        assert extremal_cotrees(n, connectivity, maximize) == cold_start(
-            n, connectivity, maximize
-        )
+        assert extremal_cotrees(n, family, maximize) == cold_start(n, family, maximize)
 
 
 def _tables_built(monkeypatch):
@@ -205,8 +202,9 @@ def test_claimed_star_mean_is_certified_with_two_tables(monkeypatch):
     built = _tables_built(monkeypatch)
     for n in range(STAR_MAX.lo, 25):
         built.clear()
-        spec = GeneratorSpec(STAR_MAX.family, n)
-        report = knapsack_search(spec, STAR_MAX.objective, STAR_MAX.expected_mean(n))
+        report = knapsack_search(
+            STAR_MAX.family, n, STAR_MAX.objective, STAR_MAX.expected_mean(n)
+        )
         assert report.winner_form == STAR_MAX.expected_form(n)
         assert len(built) == 2, n
         assert built[0][1] == report.winner_mean
@@ -217,12 +215,11 @@ def test_claimed_star_mean_is_certified_with_two_tables(monkeypatch):
 def test_claimed_mean_never_builds_more_tables_than_a_cold_start(monkeypatch, claim):
     built = _tables_built(monkeypatch)
     for n in range(claim.lo, min(claim.hi, 16) + 1):
-        family = _COTREE_FILTER[claim.family]
         maximize = claim.objective is Objective.GLOBAL_MEAN_MAX
         built.clear()
-        cold_start(n, family, maximize)
+        cold_start(n, claim.family, maximize)
         cold = len(built)
         built.clear()
-        knapsack_search(GeneratorSpec(claim.family, n), claim.objective, claim.expected_mean(n))
+        knapsack_search(claim.family, n, claim.objective, claim.expected_mean(n))
         assert len(built) <= cold, n
 

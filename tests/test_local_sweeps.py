@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 from cographmean import (
+    Family,
     complete,
     cotree_to_graph,
     format_cotree,
@@ -37,7 +38,7 @@ def fraction_floor_rows(n_max, local=phi_local_cotree):
     equality_hits = 0
     for n in range(1, n_max + 1):
         floor = Fraction(n + 1, 2)
-        for t in enumerate_cotrees(n, "connected"):
+        for t in enumerate_cotrees(n, Family.CONNECTED_COGRAPHS):
             for leaf in range(n):
                 value = global_mean(local(t, leaf))
                 if value < floor:
@@ -52,7 +53,7 @@ def fraction_floor_rows(n_max, local=phi_local_cotree):
 
 def fraction_dominates_rows(n_max, local=phi_local_cotree):
     for n in range(1, n_max + 1):
-        for t in enumerate_cotrees(n, "connected"):
+        for t in enumerate_cotrees(n, Family.CONNECTED_COGRAPHS):
             g_mean = global_mean(phi_cotree(t))
             for leaf in range(n):
                 value = global_mean(local(t, leaf))
@@ -64,7 +65,7 @@ def fraction_dominates_rows(n_max, local=phi_local_cotree):
 def bruteforce_surplus_rows(n_max):
     checked = 0
     for n in range(4, n_max + 1):
-        for t in enumerate_cotrees(n, "connected"):
+        for t in enumerate_cotrees(n, Family.CONNECTED_COGRAPHS):
             g = cotree_to_graph(t)
             full = g.full_mask
             if any(
@@ -137,7 +138,7 @@ def test_surplus_rows_equal_bruteforce_rows():
 
 def test_cut_leaf_is_the_only_vertex_whose_removal_disconnects():
     for n in range(2, 10):
-        for t in enumerate_cotrees(n, "connected"):
+        for t in enumerate_cotrees(n, Family.CONNECTED_COGRAPHS):
             g = cotree_to_graph(t)
             cut = sweeps_module._cut_leaf(t)
             for v in range(n):
@@ -159,7 +160,7 @@ def test_surplus_means_more_than_half_the_connected_sets(monkeypatch):
     # With a local count of exactly half, deleting the vertex leaves as many
     # connected sets as it holds: no surplus.
     t = next(
-        t for t in enumerate_cotrees(5, "connected")
+        t for t in enumerate_cotrees(5, Family.CONNECTED_COGRAPHS)
         if sweeps_module._cut_leaf(t) is None and phi_cotree(t).value_at_one() % 2 == 0
     )
     half = phi_cotree(t).value_at_one() // 2

@@ -24,7 +24,7 @@ def test_every_public_name_is_its_module_attribute():
 
 
 def test_public_names_are_listed_once():
-    assert len(cographmean.__all__) == len(set(cographmean.__all__)) == 66
+    assert len(cographmean.__all__) == len(set(cographmean.__all__)) == 65
 
 
 def test_unknown_attribute_raises_attribute_error():

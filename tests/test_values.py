@@ -22,10 +22,11 @@ from cographmean.cotree import (
     LEAF_TREE,
     UNION,
     Cotree,
+    Family,
     cotree_to_graph,
     parse_cotree,
 )
-from cographmean.enumeration import Family, GeneratorSpec, enumerate_connected_graphs
+from cographmean.enumeration import enumerate_connected_graphs
 from cographmean.graph import (
     Graph,
     complement,
@@ -77,12 +78,6 @@ CASES = {
         lambda: SubgraphPolynomial.from_json_dict({"n": 3, "coeffs": ["3", "2", "1"]}),
         SubgraphPolynomial(3, (3, 3, 1)),
         "SubgraphPolynomial(n=3, coeffs=(3, 2, 1))",
-    ),
-    "GeneratorSpec": (
-        lambda: GeneratorSpec(Family.COGRAPHS, 4),
-        lambda: GeneratorSpec(Family("cographs"), 4),
-        GeneratorSpec(Family.COGRAPHS, 5),
-        "GeneratorSpec(family=<Family.COGRAPHS: 'cographs'>, order=4)",
     ),
     "TheoremVerdict": (
         lambda: TheoremVerdict("t", "n=1..3", "FAIL", None, ("a", "b")),

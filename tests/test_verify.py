@@ -7,7 +7,6 @@ import pytest
 
 from cographmean import (
     Family,
-    GeneratorSpec,
     Objective,
     canonical_graph,
     extremal_search,
@@ -57,9 +56,7 @@ from cographmean.verify import (
 
 
 def test_extremal_search_max_order5():
-    report = extremal_search(
-        GeneratorSpec(Family.CONNECTED_COGRAPHS, 5), Objective.GLOBAL_MEAN_MAX
-    )
+    report = extremal_search(Family.CONNECTED_COGRAPHS, 5, Objective.GLOBAL_MEAN_MAX)
     assert report.is_unique
     assert report.winner_form == "J(U(L,L),U(L,L,L))"
     assert report.winner_mean == Fraction(69, 26)
@@ -67,9 +64,7 @@ def test_extremal_search_max_order5():
 
 
 def test_extremal_search_min_order5():
-    report = extremal_search(
-        GeneratorSpec(Family.CONNECTED_COGRAPHS, 5), Objective.GLOBAL_MEAN_MIN
-    )
+    report = extremal_search(Family.CONNECTED_COGRAPHS, 5, Objective.GLOBAL_MEAN_MIN)
     assert report.is_unique
     assert report.winner_form == format_cotree(skillet(5))
     assert report.winner_mean == Fraction(61, 24)
@@ -80,11 +75,9 @@ def test_extremal_search_reports_all_ties(monkeypatch):
     # order-5 cograph (mean 14/9), then two of equal mean 13/5.
     forms = ["U(J(L,L,L),L,L)", "J(L,U(L,L,L,L))", "J(L,L,L,U(L,L))"]
     monkeypatch.setattr(
-        verify_module, "generate", lambda spec: (parse_cotree(f) for f in forms)
+        verify_module, "generate", lambda family, n: (parse_cotree(f) for f in forms)
     )
-    report = extremal_search(
-        GeneratorSpec(Family.COGRAPHS, 5), Objective.GLOBAL_MEAN_MAX
-    )
+    report = extremal_search(Family.COGRAPHS, 5, Objective.GLOBAL_MEAN_MAX)
     assert report.winners == (
         ("J(L,L,L,U(L,L))", Fraction(13, 5)),
         ("J(L,U(L,L,L,L))", Fraction(13, 5)),
@@ -103,7 +96,7 @@ def test_extremal_search_formats_only_its_winners(monkeypatch, n, objective):
         return canonical_graph(g)
 
     monkeypatch.setattr(verify_module, "canonical_graph", counted)
-    report = extremal_search(GeneratorSpec(Family.CONNECTED_GRAPHS, n), objective)
+    report = extremal_search(Family.CONNECTED_GRAPHS, n, objective)
     assert len(calls) == len(report.winners)
 
 
@@ -346,7 +339,7 @@ def test_verdict_json_shape():
 
 
 def patch_searches(monkeypatch, edit):
-    """Pass every report through ``edit(spec, report)``.  Claims on cotree
+    """Pass every report through ``edit(report)``.  Claims on cotree
     families search by knapsack_search, which also takes the claimed mean
     to start from, the others by graph_search."""
     for name in ("graph_search", "knapsack_search"):
@@ -354,9 +347,7 @@ def patch_searches(monkeypatch, edit):
         monkeypatch.setattr(
             verify_module,
             name,
-            lambda spec, objective, *start, real=real: edit(
-                spec, real(spec, objective, *start)
-            ),
+            lambda *args, real=real: edit(real(*args)),
         )
 
 
@@ -375,8 +366,8 @@ def test_tied_winner_fails_at_its_order(monkeypatch, capsys, suite, check, n_max
     """A tie at the top order fails the claim there, keeping earlier logs."""
     tied_reports = []
 
-    def add_tie(spec, report):
-        if spec.order != n_max:
+    def add_tie(report):
+        if report.order != n_max:
             return report
         tied = report.replace(winners=report.winners + (("tie", report.winner_mean),))
         tied_reports.append(tied)
@@ -399,7 +390,7 @@ def test_tied_winner_fails_at_its_order(monkeypatch, capsys, suite, check, n_max
 def test_disconnected_max_checks_closed_form_mean_from_order_8(monkeypatch):
     """Below order 8 the claim pins no mean; from 8 on, K1 u K_{1,n-2}'s."""
 
-    def add_one_to_mean(spec, report):
+    def add_one_to_mean(report):
         ((form, mean),) = report.winners
         return report.replace(winners=((form, mean + 1),))
 
@@ -419,8 +410,8 @@ def test_cotree_winner_mean_is_rechecked_by_phi_cotree(monkeypatch):
     on the knapsack module."""
     real = knapsack_module.extremal_cotrees
 
-    def wrong_mean_at_5(n, connectivity, maximize, start):
-        winners, gap = real(n, connectivity, maximize, start)
+    def wrong_mean_at_5(n, family, maximize, start):
+        winners, gap = real(n, family, maximize, start)
         if n == 5:
             ((form, mean),) = winners
             winners = ((form, mean + Fraction(1, 7)),)
