@@ -78,10 +78,12 @@ def _output_format(args: argparse.Namespace) -> str:
 
 def _parse_input(text: str) -> Cotree | Graph:
     # graph6 strings of order 11, 13 or 22 also start with J, L or U, but
-    # neither "(" nor whitespace is ever a graph6 byte.
-    rest = text[1:].lstrip()
-    if text[:1] in ("J", "U", "L") and (not rest or rest[0] == "("):
-        return parse_cotree(text)
+    # neither "(" nor whitespace is ever a graph6 byte.  A cotree is kept as
+    # written, so that --local numbers its leaves as the text does.
+    head = text.lstrip()
+    rest = head[1:].lstrip()
+    if head[:1] in ("J", "U", "L") and (not rest or rest[0] == "("):
+        return parse_cotree(text, canonical=False)
     return parse_graph6(text)
 
 

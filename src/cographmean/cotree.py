@@ -38,7 +38,8 @@ _LETTER = {UNION: "U", JOIN: "J"}
 
 
 class Family(str, Enum):
-    """The class families that ``generate`` streams and the searches range over."""
+    """The class families that ``generate`` streams and, but for caterpillars,
+    ``verify.extremal_search`` ranges over."""
 
     COGRAPHS = "cographs"
     CONNECTED_COGRAPHS = "connected-cographs"
@@ -90,6 +91,7 @@ class Cotree(Value):
     _fields = ("kind", "children")
 
     def __init__(self, kind: str, children: tuple[Cotree, ...] = ()):
+        children = tuple(children)
         if kind == LEAF:
             if children:
                 raise ValueError("a leaf cannot have children")
@@ -183,14 +185,16 @@ def _parse_node(text: str, pos: int, depth: int = 0) -> tuple[Cotree, int]:
     raise CotreeSyntaxError(f"expected 'L', 'U' or 'J', found {ch!r}", pos)
 
 
-def parse_cotree(text: str) -> Cotree:
-    """Parse a cotree expression and return its canonical form."""
+def parse_cotree(text: str, canonical: bool = True) -> Cotree:
+    """Parse a cotree expression and return its canonical form, or with
+    ``canonical=False`` the tree as written, whose leaves are numbered left
+    to right as in the text."""
     pos = _skip_ws(text, 0)
     tree, pos = _parse_node(text, pos)
     pos = _skip_ws(text, pos)
     if pos != len(text):
         raise CotreeSyntaxError("unexpected trailing input", pos)
-    return canonicalize(tree)
+    return canonicalize(tree) if canonical else tree
 
 
 def cotree_to_graph(t: Cotree) -> Graph:

@@ -118,6 +118,7 @@ class Graph(Value):
     __slots__ = _fields = ("order", "adj")
 
     def __init__(self, order: int, adj: tuple[int, ...]):
+        adj = tuple(adj)
         if not 1 <= order <= MAX_ORDER:
             raise OrderOutOfRange(f"graph order must be in 1..{MAX_ORDER}, got {order}")
         if len(adj) != order:

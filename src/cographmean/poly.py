@@ -47,6 +47,7 @@ class SubgraphPolynomial(Value):
     __slots__ = _fields = ("n", "coeffs")
 
     def __init__(self, n: int, coeffs: tuple[int, ...]):
+        coeffs = tuple(coeffs)
         if n < 1:
             raise ValueError("polynomial order must be at least 1")
         if len(coeffs) != n:

@@ -1,17 +1,16 @@
 """Extremal searches and the paper's extremal claims.
 
 Every check here is exact: means are compared as rationals, never within a
-tolerance.  Searches cover whole isomorphism-class families: connected
-graphs by scoring the one-vertex extensions of the classes one order down,
-without deduplicating them (:func:`graph_search`), each as its base's
-connected-set count plus a subset sum for the new vertex; cotree families
-by the exact fractional knapsack of :mod:`cographmean.knapsack`, which
-never lists them, starts at the claimed mean and is imported only when a
-cotree family is searched.  :func:`extremal_search`, which scores each
-enumerated class once, is kept as their test oracle.  All report all tied
-winners and treat every uniqueness claim as an assertion to test, not an
-assumption.  The inequality and structural sweeps and the local-mean
-counterexample live in :mod:`cographmean.sweeps`.
+tolerance.  :func:`extremal_search` covers whole isomorphism-class
+families, each by the path that never lists them: cotree families by the
+exact fractional knapsack of :mod:`cographmean.knapsack`, which starts at
+a claimed mean and is imported only when a cotree family is searched;
+connected graphs by scoring the one-vertex extensions of the classes one
+order down, without deduplicating them, each as its base's connected-set
+count plus a subset sum for the new vertex.  It reports all tied winners,
+and every uniqueness claim is an assertion to test, not an assumption.
+The inequality and structural sweeps and the local-mean counterexample
+live in :mod:`cographmean.sweeps`.
 """
 
 from __future__ import annotations
@@ -35,8 +34,9 @@ from .cotree import (
     skillet,
     star,
 )
+# Not called here: bench/selfcheck.py checks that its tracer rebinds verify.generate.
 from .enumeration import _extend, _max_degree_extensions, canonical_graph, generate
-from .errors import OrderOutOfRange, RangeError
+from .errors import OrderOutOfRange, RangeError, UnknownFamily
 from .graph import (
     MAX_ORDER,
     Graph,
@@ -86,12 +86,6 @@ class ExtremalReport(Value):
             "winners": [{"form": form, "mean": str(mean)} for form, mean in self.winners],
             "runner_up_gap": None if gap is None else str(gap),
         }
-
-
-def _report(
-    family: Family, order: int, objective: Objective, winners: tuple, gap: Fraction | None
-) -> ExtremalReport:
-    return ExtremalReport(Family(family).value, order, objective.value, winners, gap)
 
 
 # ---------------------------------------------------------------------------
@@ -184,47 +178,6 @@ def _extremes(scored: Iterable[tuple], ahead: Callable) -> tuple:
     return best, tied, second
 
 
-def extremal_search(family: Family, order: int, objective: Objective) -> ExtremalReport:
-    """Exact argmax/argmin of the global mean over one enumerated family.
-
-    All tied winners are reported, sorted by canonical form;
-    ``runner_up_gap`` is the distance to the best strictly worse value
-    (None when the family has a single distinct value).  Only the winners
-    are put in canonical form.
-    """
-    objective = Objective(objective)
-    sign = 1 if objective is Objective.GLOBAL_MEAN_MAX else -1
-
-    def mean(item: Cotree | Graph) -> Fraction:
-        return global_mean(phi_cotree(item) if isinstance(item, Cotree) else phi_bruteforce(item))
-
-    scored = ((item, mean(item)) for item in generate(family, order))
-    best, tied, second = _extremes(scored, lambda a, b: sign * (a - b))
-    winners = sorted(
-        (format_cotree(item) if isinstance(item, Cotree)
-         else emit_graph6(canonical_graph(item)), best)
-        for item in tied
-    )
-    gap = None if second is None else abs(best - second)
-    return _report(family, order, objective, tuple(winners), gap)
-
-
-def knapsack_search(
-    family: Family, order: int, objective: Objective, start: Fraction | None = None
-) -> ExtremalReport:
-    """The report :func:`extremal_search` gives on a cotree family, computed
-    by :func:`~cographmean.knapsack.extremal_cotrees` without enumerating
-    the family.  ``start`` is a guess at the extremal mean, where the search
-    begins; any guess gives the same report, and the right one the fewest
-    knapsack tables."""
-    from .knapsack import extremal_cotrees
-
-    objective = Objective(objective)
-    maximize = objective is Objective.GLOBAL_MEAN_MAX
-    winners, gap = extremal_cotrees(order, family, maximize, start)
-    return _report(family, order, objective, winners, gap)
-
-
 def _subset_term(base: tuple[int, ...], subset: int) -> tuple[int, int]:
     """The term of M = ``subset`` in :func:`_new_vertex_score`'s sum,
     (-1)^c(M) x^k (1+x)^q, and its derivative at x = 1, with c(M) the
@@ -305,33 +258,64 @@ def _scored_extensions(order: int) -> Iterator[tuple[tuple[int, ...], int, int, 
             yield base, nbrs, base_v + v, base_d + d
 
 
-def graph_search(order: int, objective: Objective) -> ExtremalReport:
-    """The report :func:`extremal_search` gives on connected graphs, scored
-    on the one-vertex extensions of the classes one order down.
+# The connected-graph search, and so the two connected-graph claims, stop at
+# order 9 (`enumerate connected-graphs` stops at 8: printing order 9 would put
+# 261,080 classes in canonical form).
+# On a 2-core host, in fresh processes, `verify table2 --nmax 9` took 6.7-7.1 s
+# and `verify path-conjecture --nmax 9` 5.3-6.4 s, each at 20 MB peak RSS:
+# building the 12,346 classes of order 8 (about 1.7 s), then scoring their
+# 470,725 connected extensions.  Order 10 would score the extensions of
+# 274,668 classes of order 9, which take about 42 s and 121 MB to build alone.
+MAX_GRAPH_SEARCH_ORDER = 9
 
-    Every connected class is some connected extension, and each extension
-    is some class, so the best and runner-up means over
-    :func:`_scored_extensions` are those over the classes, and no extension
-    is deduplicated.  Means are compared as (V, D) pairs.  A class
-    may arise more than once, so the tied extensions are deduplicated by
-    printed form.
+
+def extremal_search(
+    family: Family, order: int, objective: Objective, start: Fraction | None = None
+) -> ExtremalReport:
+    """Exact argmax/argmin of the global mean over one family's classes of
+    one order, without listing them.
+
+    A cotree family (orders 1..64) goes to
+    :func:`~cographmean.knapsack.extremal_cotrees`, started at ``start``, a
+    guess at the extremal mean: any guess gives the same report, and the
+    right one the fewest knapsack tables.  Connected graphs (orders
+    1..``MAX_GRAPH_SEARCH_ORDER``) are scored on
+    :func:`_scored_extensions`, which never deduplicates: every connected
+    class is some connected extension, and each extension is some class,
+    so the best and runner-up means over the extensions are those over the
+    classes.  Means are compared as (V, D) pairs, and since a class may
+    arise more than once, the tied extensions are deduplicated by canonical
+    form; ``start`` is not used.
+
+    All tied winners are reported, sorted by form; ``runner_up_gap`` is the
+    distance to the best strictly worse mean (None if there is none).
     """
-    if order < 1:
-        raise OrderOutOfRange(f"graph search needs order >= 1, got {order}")
-    objective = Objective(objective)
-    sign = 1 if objective is Objective.GLOBAL_MEAN_MAX else -1
-    best, tied, second = _extremes(
-        (((base, nbrs), (v, d)) for base, nbrs, v, d in _scored_extensions(order)),
-        lambda x, y: sign * _cmp_means(x, y),
-    )
-    mean = _pair_mean(best)
-    forms = {
-        emit_graph6(canonical_graph(Graph._make(order, _extend(base, nbrs))))
-        for base, nbrs in tied
-    }
-    gap = None if second is None else abs(mean - _pair_mean(second))
-    winners = tuple((form, mean) for form in sorted(forms))
-    return _report(Family.CONNECTED_GRAPHS, order, objective, winners, gap)
+    family, objective = Family(family), Objective(objective)
+    if family is Family.CATERPILLARS:
+        raise UnknownFamily("no extremal search over caterpillars")
+    cotrees = family in ROOT_KINDS
+    cap = MAX_ORDER if cotrees else MAX_GRAPH_SEARCH_ORDER
+    if not 1 <= order <= cap:
+        raise OrderOutOfRange(f"{family.value} search supports 1..{cap}, got {order}")
+    maximize = objective is Objective.GLOBAL_MEAN_MAX
+    if cotrees:
+        from .knapsack import extremal_cotrees
+
+        winners, gap = extremal_cotrees(order, family, maximize, start)
+    else:
+        sign = 1 if maximize else -1
+        best, tied, second = _extremes(
+            (((base, nbrs), (v, d)) for base, nbrs, v, d in _scored_extensions(order)),
+            lambda x, y: sign * _cmp_means(x, y),
+        )
+        mean = _pair_mean(best)
+        forms = {
+            emit_graph6(canonical_graph(Graph._make(order, _extend(base, nbrs))))
+            for base, nbrs in tied
+        }
+        winners = tuple((form, mean) for form in sorted(forms))
+        gap = None if second is None else abs(mean - _pair_mean(second))
+    return ExtremalReport(family.value, order, objective.value, winners, gap)
 
 
 def _recheck_by_phi_cotree(report: ExtremalReport) -> bool:
@@ -352,10 +336,10 @@ def _form_and_mean(n: int, report: ExtremalReport) -> str:
 class ExtremalClaim(Value):
     """At every order n in ``lo..n_max``, ``objective`` over ``family`` has
     exactly one winner, printed as ``expected_form(n)``, with mean
-    ``expected_mean(n)`` unless that is None.  On cotree families the
-    report comes from :func:`knapsack_search`, started at
-    ``expected_mean(n)``, and the winner's mean is also recomputed from its
-    tree by :func:`~cographmean.poly.phi_cotree`.
+    ``expected_mean(n)`` unless that is None.  The report comes from
+    :func:`extremal_search`, started at ``expected_mean(n)``; on cotree
+    families the winner's mean is also recomputed from its tree by
+    :func:`~cographmean.poly.phi_cotree`.
     ``range_label`` names the sweep when n_max is outside lo..hi."""
 
     __slots__ = _fields = (
@@ -375,10 +359,7 @@ def run_claim(claim: ExtremalClaim, n_max: int) -> TheoremVerdict:
     log, witness = [], None
     for n in range(claim.lo, n_max + 1):
         expected_mean = claim.expected_mean(n)
-        if cotrees:
-            report = knapsack_search(claim.family, n, claim.objective, expected_mean)
-        else:
-            report = graph_search(n, claim.objective)
+        report = extremal_search(claim.family, n, claim.objective, expected_mean)
         if not (
             report.is_unique
             and report.winner_form == claim.expected_form(n)
@@ -468,15 +449,6 @@ DISCONNECTED_MAX = ExtremalClaim(
         closed_form_means(MeanFamily.K1_UNION_STAR, n) if n >= 8 else None
     ),
 )
-
-# The two connected-graph claims stop at order 9 (`enumerate connected-graphs`
-# stops at 8: printing order 9 would put 261,080 classes in canonical form).
-# On a 2-core host, in fresh processes, `verify table2 --nmax 9` took 6.7-7.1 s
-# and `verify path-conjecture --nmax 9` 5.3-6.4 s, each at 20 MB peak RSS:
-# building the 12,346 classes of order 8 (about 1.7 s), then scoring their
-# 470,725 connected extensions.  Order 10 would score the extensions of
-# 274,668 classes of order 9, which take about 42 s and 121 MB to build alone.
-MAX_GRAPH_SEARCH_ORDER = 9
 
 TABLE2 = ExtremalClaim(
     theorem="max-mean-table-connected-graphs",

@@ -4,7 +4,9 @@ The oracles here deliberately avoid the library's bitset machinery: BFS
 over adjacency lists, permutation scans, and four-subset checks, so that
 agreement with the package is meaningful.  The one bitset oracle,
 ``oracle_esu_counts``, visits every connected set, while the package counts
-the sets that are not connected and skips most of them.
+the sets that are not connected and skips most of them.  The extremal
+search oracle scores every class the generators stream, where the package
+lists none.
 """
 
 from __future__ import annotations
@@ -15,8 +17,11 @@ from itertools import combinations, permutations
 import pytest
 
 from cographmean import Graph, from_edge_list
-from cographmean.cotree import JOIN, LEAF_TREE, UNION, Cotree, canonicalize
-from cographmean.graph import _triangle_adj, iter_bits
+from cographmean.cotree import JOIN, LEAF_TREE, UNION, Cotree, Family, canonicalize
+from cographmean.enumeration import canonical_graph, generate
+from cographmean.graph import _triangle_adj, emit_graph6, iter_bits
+from cographmean.poly import global_mean, phi_bruteforce, phi_cotree
+from cographmean.verify import ExtremalReport, Objective
 
 
 def pytest_addoption(parser):
@@ -110,6 +115,26 @@ def oracle_esu_counts(g: Graph, required: int) -> list[int]:
                 if grown:
                     stack.append((size + 1, grown, seen | nbr))
     return counts
+
+
+def oracle_extremal_search(family: Family, order: int, objective: Objective) -> ExtremalReport:
+    """The report ``verify.extremal_search`` should give, by scoring every
+    class that ``generate`` streams: a cotree by ``phi_cotree``, a graph by
+    ``phi_bruteforce``.  The winners are every class of the best mean, each
+    printed in canonical form, and the gap is to the next distinct mean."""
+    objective = Objective(objective)
+    scored = [
+        (item, global_mean(phi_cotree(item) if isinstance(item, Cotree) else phi_bruteforce(item)))
+        for item in generate(family, order)
+    ]
+    means = sorted({mean for _, mean in scored}, reverse=objective is Objective.GLOBAL_MEAN_MAX)
+    winners = tuple(sorted(
+        (item.form if isinstance(item, Cotree) else emit_graph6(canonical_graph(item)), mean)
+        for item, mean in scored
+        if mean == means[0]
+    ))
+    gap = abs(means[0] - means[1]) if len(means) > 1 else None
+    return ExtremalReport(Family(family).value, order, objective.value, winners, gap)
 
 
 def has_induced_p4(g: Graph) -> bool:

@@ -32,6 +32,7 @@ from cographmean import (
     star,
 )
 from cographmean.cli import _SUITES, _build_parser, _parse_input, main
+from cographmean.cotree import JOIN, LEAF_TREE, UNION, canonicalize
 from cographmean.enumeration import MAX_COTREE_LEAVES
 
 
@@ -646,9 +647,42 @@ def test_graph6_of_order_22_parses_as_graph6(capsys):
     assert out.strip() == str(closed_form_means(MeanFamily.STAR, 22))
 
 
-@pytest.mark.parametrize("text", ["J(L,L)", "L", "U (L,L)"])
+@pytest.mark.parametrize("text", ["J(L,L)", "L", "U (L,L)", " J(L,L)", "\t\n U(L, L) ", "  L"])
 def test_cotree_letters_still_parse_as_cotrees(text):
     assert isinstance(_parse_input(text), Cotree)
+
+
+def _written_cotree(rng, n: int) -> Cotree:
+    """A random cotree as a user might write it: kinds drawn freely, so a
+    node may share its parent's kind, and children in any order."""
+    if n == 1:
+        return LEAF_TREE
+    cuts = sorted(rng.sample(range(1, n), rng.randint(1, n - 1)))
+    parts = [b - a for a, b in zip([0, *cuts], [*cuts, n])]
+    return Cotree(rng.choice((JOIN, UNION)), tuple(_written_cotree(rng, p) for p in parts))
+
+
+def test_local_mean_numbers_cotree_leaves_as_written(capsys, rng):
+    # Leaf 0 of J(U(L,L),L,L) is in the Union, but its canonical form
+    # J(L,L,U(L,L)) puts a Join leaf first.
+    assert run(capsys, "mean", "J(U(L,L),L,L)", "--local", "0")[1] == "18/7\n"
+    written = 0
+    for _ in range(40):
+        tree = _written_cotree(rng, rng.randint(2, 12))
+        written += tree != canonicalize(tree)
+        vertex = str(rng.randrange(tree.leaf_count))
+        graph6 = emit_graph6(cotree_to_graph(tree))
+        by_tree = run(capsys, "mean", tree.form, "--local", vertex)
+        assert by_tree == run(capsys, "mean", graph6, "--local", vertex), tree.form
+        assert by_tree[0] == 0
+    assert written > 20
+
+
+def test_leading_whitespace_is_skipped_only_before_a_cotree(capsys):
+    assert run(capsys, "mean", " J(L,L)") == (0, "4/3\n", "")
+    code, out, err = run(capsys, "mean", " Bw")
+    assert_usage_error(code, out, err)
+    assert err == "error: byte ' ' is outside the graph6 range\n"
 
 
 def test_verify_all_rejects_nmax(capsys):

@@ -87,7 +87,14 @@ def test_library_layout_name_resolves(module, name):
 
 
 @pytest.mark.parametrize(
-    "module, target", [("enumeration", "_code_to_adj"), ("poly", "_phi_tree"), ("graph", "nope")]
+    "module, target",
+    [
+        ("enumeration", "_code_to_adj"),
+        ("poly", "_phi_tree"),
+        ("graph", "nope"),
+        ("verify", "knapsack_search"),
+        ("verify", "graph_search"),
+    ],
 )
 def test_names_that_refactors_removed_do_not_resolve(module, target):
     assert not _resolves(f"cographmean.{module}", target)

@@ -50,8 +50,6 @@ from cographmean.verify import (
     TABLE2,
     Objective,
     extremal_search,
-    graph_search,
-    knapsack_search,
 )
 
 
@@ -408,15 +406,13 @@ def test_caterpillars_are_pairwise_nonisomorphic():
 
 def test_generator_spec_validation():
     # Each generator checks the order itself, and names its own range; so
-    # do the searches that enumerate nothing.
+    # does the search, which enumerates nothing.
     for family in Family:
         with pytest.raises(OrderOutOfRange, match="supports .*, got 0"):
             next(generate(family, 0))
-    for family in ROOT_KINDS:
-        with pytest.raises(OrderOutOfRange, match="got 0"):
-            knapsack_search(family, 0, Objective.GLOBAL_MEAN_MAX)
-    with pytest.raises(OrderOutOfRange, match="got 0"):
-        graph_search(0, Objective.GLOBAL_MEAN_MAX)
+    for family in [*ROOT_KINDS, Family.CONNECTED_GRAPHS]:
+        with pytest.raises(OrderOutOfRange, match=r"supports 1\.\..*, got 0"):
+            extremal_search(family, 0, Objective.GLOBAL_MEAN_MAX)
 
 
 def test_streams_are_deterministic():

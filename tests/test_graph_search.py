@@ -1,11 +1,12 @@
-"""The connected-graph search that scores one-vertex extensions.
+"""The connected-graph branch of ``extremal_search``, which scores
+one-vertex extensions.
 
-``graph_search`` never deduplicates the extensions it scores, so it is
-checked against ``extremal_search``, which scores each class once, and its
-pieces are checked on their own: the extensions reach exactly the connected
-classes, each extension's score is its polynomial, the subset sum through
-the new vertex is the connected-set count through it, and tied winners are
-counted as classes.
+It never deduplicates the extensions it scores, so it is checked against
+``oracle_extremal_search``, which scores each class once, and its pieces are
+checked on their own: the extensions reach exactly the connected classes,
+each extension's score is its polynomial, the subset sum through the new
+vertex is the connected-set count through it, and tied winners are counted
+as classes.  No claim enumerates the classes it searches.
 """
 
 import random
@@ -13,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+from cographmean import enumeration as enumeration_module
 from cographmean import verify as verify_module
 from cographmean.cotree import Family
 from cographmean.enumeration import (
@@ -28,10 +30,9 @@ from cographmean.verify import (
     _new_vertex_score,
     _scored_extensions,
     extremal_search,
-    graph_search,
 )
 
-from conftest import oracle_esu_counts
+from conftest import oracle_esu_counts, oracle_extremal_search
 
 # OEIS A001349: connected graphs on n unlabelled vertices
 CONNECTED_GRAPH_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
@@ -49,8 +50,9 @@ def _count_through_new(base: tuple[int, ...], nbrs: int) -> tuple[int, int]:
 
 @pytest.mark.parametrize("objective", list(Objective))
 @pytest.mark.parametrize("n", [*range(1, 8), pytest.param(8, marks=pytest.mark.slow)])
-def test_graph_search_reports_what_extremal_search_reports(n, objective):
-    assert graph_search(n, objective) == extremal_search(Family.CONNECTED_GRAPHS, n, objective)
+def test_extremal_search_matches_the_oracle_on_connected_graphs(n, objective):
+    family = Family.CONNECTED_GRAPHS
+    assert extremal_search(family, n, objective) == oracle_extremal_search(family, n, objective)
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -127,7 +129,7 @@ P4_AT_2 = (P3, 0b100, (2, 5, 10, 4))
 
 def test_tie_between_two_extensions_of_one_class_is_unique(monkeypatch):
     _inject(monkeypatch, [STAR_ON_P3, P4_AT_0, P4_AT_2])
-    report = graph_search(4, Objective.GLOBAL_MEAN_MIN)
+    report = extremal_search(Family.CONNECTED_GRAPHS, 4, Objective.GLOBAL_MEAN_MIN)
     assert report.winners == ((_form(4, P4_AT_0[2]), Fraction(2)),)
     assert report.is_unique
     assert report.runner_up_gap == Fraction(23, 11) - 2
@@ -140,7 +142,7 @@ def test_tie_between_two_classes_is_not_unique(monkeypatch):
     star = ((14, 1, 1, 1), 0b0001, (30, 1, 1, 1, 1))
     k5_minus_edge = ((14, 13, 3, 3), 0b1111, (30, 29, 19, 19, 15))
     _inject(monkeypatch, [path, star, k5_minus_edge])
-    report = graph_search(5, Objective.GLOBAL_MEAN_MAX)
+    report = extremal_search(Family.CONNECTED_GRAPHS, 5, Objective.GLOBAL_MEAN_MAX)
     assert report.winners == tuple(
         sorted((_form(5, ext[2]), Fraction(13, 5)) for ext in (star, k5_minus_edge))
     )
@@ -148,10 +150,15 @@ def test_tie_between_two_classes_is_not_unique(monkeypatch):
     assert report.runner_up_gap == Fraction(13, 5) - Fraction(7, 3)
 
 
-def test_connected_graph_claims_search_by_graph_search(monkeypatch):
+def test_no_claim_enumerates_the_classes_it_searches(monkeypatch):
     def refuse(*args):
-        raise AssertionError("extremal_search is only a test oracle")
+        raise AssertionError("enumeration is only the test oracle of the searches")
 
-    monkeypatch.setattr(verify_module, "extremal_search", refuse)
-    assert verify_module.verify_table2(6).passed
-    assert verify_module.verify_path_min_conjecture(6).passed
+    monkeypatch.setattr(enumeration_module, "generate", refuse)
+    monkeypatch.setattr(verify_module, "generate", refuse)
+    for check in (
+        verify_module.verify_table1, verify_module.verify_star_max,
+        verify_module.verify_skillet_min, verify_module.verify_disconnected_max,
+        verify_module.verify_table2, verify_module.verify_path_min_conjecture,
+    ):
+        assert check().passed, check.__name__

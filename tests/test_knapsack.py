@@ -21,9 +21,10 @@ from cographmean.verify import (
     SKILLET_MIN,
     STAR_MAX,
     TABLE1,
-    knapsack_search,
     run_claim,
 )
+
+from conftest import oracle_extremal_search
 
 COTREE_FAMILIES = [Family.CONNECTED_COGRAPHS, Family.DISCONNECTED_COGRAPHS, Family.COGRAPHS]
 
@@ -39,7 +40,7 @@ COTREE_FAMILIES = [Family.CONNECTED_COGRAPHS, Family.DISCONNECTED_COGRAPHS, Fami
 )
 def test_knapsack_matches_enumeration(family, n_max, objective):
     for n in range(1, n_max + 1):
-        assert knapsack_search(family, n, objective) == extremal_search(family, n, objective)
+        assert extremal_search(family, n, objective) == oracle_extremal_search(family, n, objective)
 
 
 def test_tables_rank_and_rebuild_like_enumeration():
@@ -88,8 +89,8 @@ def test_wrong_expected_form_fails_alike_on_both_paths(monkeypatch, claim, n_max
     by_knapsack = run_claim(wrong, n_max).to_json_dict()
     monkeypatch.setattr(
         verify_module,
-        "knapsack_search",
-        lambda family, n, objective, start: extremal_search(family, n, objective),
+        "extremal_search",
+        lambda family, n, objective, start: oracle_extremal_search(family, n, objective),
     )
     by_enumeration = run_claim(wrong, n_max).to_json_dict()
     assert by_knapsack["status"] == "FAIL"
@@ -161,7 +162,7 @@ def _check_warm_starts(claim, orders, steps):
         starts = [claim.expected_mean(n)]
         starts += [truth + sign * step for step in steps for sign in (1, -1)]
         for start in starts:
-            assert knapsack_search(claim.family, n, claim.objective, start) == cold, (n, start)
+            assert extremal_search(claim.family, n, claim.objective, start) == cold, (n, start)
 
 
 @pytest.mark.parametrize("claim", COTREE_CLAIMS, ids=lambda c: c.theorem)
@@ -202,7 +203,7 @@ def test_claimed_star_mean_is_certified_with_two_tables(monkeypatch):
     built = _tables_built(monkeypatch)
     for n in range(STAR_MAX.lo, 25):
         built.clear()
-        report = knapsack_search(
+        report = extremal_search(
             STAR_MAX.family, n, STAR_MAX.objective, STAR_MAX.expected_mean(n)
         )
         assert report.winner_form == STAR_MAX.expected_form(n)
@@ -220,6 +221,6 @@ def test_claimed_mean_never_builds_more_tables_than_a_cold_start(monkeypatch, cl
         cold_start(n, claim.family, maximize)
         cold = len(built)
         built.clear()
-        knapsack_search(claim.family, n, claim.objective, claim.expected_mean(n))
+        extremal_search(claim.family, n, claim.objective, claim.expected_mean(n))
         assert len(built) <= cold, n
 

@@ -126,6 +126,21 @@ def test_values_of_different_classes_are_never_equal():
     assert TheoremVerdict("t", "r", "PASS") != ("t", "r", "PASS", None, ())
 
 
+@pytest.mark.parametrize(
+    "cls, first, sequence",
+    [
+        (Graph, 2, (2, 1)),
+        (SubgraphPolynomial, 2, (2, 1)),
+        (Cotree, JOIN, (LEAF_TREE, LEAF_TREE)),
+    ],
+    ids=["Graph", "SubgraphPolynomial", "Cotree"],
+)
+def test_a_list_argument_is_stored_as_a_tuple(cls, first, sequence):
+    from_list, from_tuple = cls(first, list(sequence)), cls(first, sequence)
+    assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
+    assert type(getattr(from_list, cls._fields[1])) is tuple
+
+
 def test_cotree_compares_by_printed_form_only():
     leaf = Cotree(LEAF)
     assert leaf == LEAF_TREE and hash(leaf) == hash(LEAF_TREE)

@@ -9,6 +9,7 @@ from cographmean import (
     Family,
     Objective,
     canonical_graph,
+    emit_graph6,
     extremal_search,
     format_cotree,
     global_mean,
@@ -35,7 +36,7 @@ from cographmean.enumeration import (
     _caterpillar_profiles,
     enumerate_caterpillars,
 )
-from cographmean.errors import OrderOutOfRange, RangeError
+from cographmean.errors import OrderOutOfRange, RangeError, UnknownFamily
 from cographmean.poly import MeanFamily, _cmp_means, closed_form_means
 from cographmean.verify import _extremes
 from cographmean.sweeps import _caterpillar_pair, find_local_counterexample
@@ -54,6 +55,9 @@ from cographmean.verify import (
     verify_star_max,
 )
 
+import conftest
+from conftest import oracle_extremal_search
+
 
 def test_extremal_search_max_order5():
     report = extremal_search(Family.CONNECTED_COGRAPHS, 5, Objective.GLOBAL_MEAN_MAX)
@@ -71,13 +75,15 @@ def test_extremal_search_min_order5():
 
 
 def test_extremal_search_reports_all_ties(monkeypatch):
-    # No family at orders 2-7 has tied winners, so feed the search a worse
-    # order-5 cograph (mean 14/9), then two of equal mean 13/5.
+    # No cotree family at orders 1-29 has tied winners, so feed the search's
+    # oracle a worse order-5 cograph (mean 14/9), then two of equal mean 13/5.
+    # The search's own ties are fed to it as graph extensions, in
+    # test_tie_between_two_classes_is_not_unique.
     forms = ["U(J(L,L,L),L,L)", "J(L,U(L,L,L,L))", "J(L,L,L,U(L,L))"]
     monkeypatch.setattr(
-        verify_module, "generate", lambda family, n: (parse_cotree(f) for f in forms)
+        conftest, "generate", lambda family, n: (parse_cotree(f) for f in forms)
     )
-    report = extremal_search(Family.COGRAPHS, 5, Objective.GLOBAL_MEAN_MAX)
+    report = oracle_extremal_search(Family.COGRAPHS, 5, Objective.GLOBAL_MEAN_MAX)
     assert report.winners == (
         ("J(L,L,L,U(L,L))", Fraction(13, 5)),
         ("J(L,U(L,L,L,L))", Fraction(13, 5)),
@@ -97,7 +103,33 @@ def test_extremal_search_formats_only_its_winners(monkeypatch, n, objective):
 
     monkeypatch.setattr(verify_module, "canonical_graph", counted)
     report = extremal_search(Family.CONNECTED_GRAPHS, n, objective)
-    assert len(calls) == len(report.winners)
+    # A winning class may arise from several tied extensions, one call each.
+    formatted = {emit_graph6(canonical_graph(g)) for g in calls}
+    assert formatted == {form for form, _ in report.winners}
+
+
+@pytest.mark.parametrize(
+    "family, order, message",
+    [
+        (Family.CONNECTED_COGRAPHS, 0, "connected-cographs search supports 1..64, got 0"),
+        (Family.COGRAPHS, 65, "cographs search supports 1..64, got 65"),
+        (Family.DISCONNECTED_COGRAPHS, 65, "disconnected-cographs search supports 1..64, got 65"),
+        (Family.CONNECTED_GRAPHS, 0, "connected-graphs search supports 1..9, got 0"),
+        (Family.CONNECTED_GRAPHS, 10, "connected-graphs search supports 1..9, got 10"),
+    ],
+)
+def test_extremal_search_rejects_orders_outside_its_range(family, order, message):
+    for objective in Objective:
+        with pytest.raises(OrderOutOfRange) as caught:
+            extremal_search(family, order, objective)
+        assert str(caught.value) == message
+
+
+def test_extremal_search_refuses_caterpillars():
+    for order in (0, 5):
+        with pytest.raises(UnknownFamily) as caught:
+            extremal_search("caterpillars", order, Objective.GLOBAL_MEAN_MIN)
+        assert str(caught.value) == "no extremal search over caterpillars"
 
 
 def _difference(x, y):
@@ -339,16 +371,10 @@ def test_verdict_json_shape():
 
 
 def patch_searches(monkeypatch, edit):
-    """Pass every report through ``edit(report)``.  Claims on cotree
-    families search by knapsack_search, which also takes the claimed mean
-    to start from, the others by graph_search."""
-    for name in ("graph_search", "knapsack_search"):
-        real = getattr(verify_module, name)
-        monkeypatch.setattr(
-            verify_module,
-            name,
-            lambda *args, real=real: edit(real(*args)),
-        )
+    """Pass every report of ``extremal_search``, the one search every claim
+    makes, through ``edit(report)``."""
+    real = verify_module.extremal_search
+    monkeypatch.setattr(verify_module, "extremal_search", lambda *args: edit(real(*args)))
 
 
 @pytest.mark.parametrize(
@@ -406,7 +432,7 @@ def test_disconnected_max_checks_closed_form_mean_from_order_8(monkeypatch):
 def test_cotree_winner_mean_is_rechecked_by_phi_cotree(monkeypatch):
     """DISCONNECTED_MAX pins no mean below order 8, so at order 5 only the
     phi_cotree recheck can catch a knapsack winner carrying a wrong mean.
-    ``knapsack_search`` imports the knapsack when called, so the patch goes
+    ``extremal_search`` imports the knapsack when called, so the patch goes
     on the knapsack module."""
     real = knapsack_module.extremal_cotrees
 
