@@ -19,7 +19,9 @@ from collections.abc import Iterable, Iterator, Sequence
 from enum import Enum
 from itertools import chain, combinations_with_replacement, product
 
-from .errors import ArityError, CotreeSyntaxError, NotACograph, OrderOutOfRange, UnknownFamily
+from .errors import (
+    ArityError, CotreeSyntaxError, NotACograph, OrderOutOfRange, UnknownFamily, check_order,
+)
 from .graph import (
     MAX_ORDER,
     Graph,
@@ -200,8 +202,7 @@ def parse_cotree(text: str, canonical: bool = True) -> Cotree:
 def cotree_to_graph(t: Cotree) -> Graph:
     """Realize a cotree as a graph; leaves become vertices left to right."""
     n = t.leaf_count
-    if n > MAX_ORDER:
-        raise OrderOutOfRange(f"cotree has {n} leaves, graph cap is {MAX_ORDER}")
+    check_order("cotree realization", n, 1, MAX_ORDER)
     adj = [0] * n
 
     def visit(node: Cotree, offset: int) -> None:
@@ -306,14 +307,9 @@ def is_connected_cograph(t: Cotree) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _require_order(n: int, minimum: int, what: str) -> None:
-    if not minimum <= n <= MAX_ORDER:
-        raise OrderOutOfRange(f"{what} needs order in {minimum}..{MAX_ORDER}, got {n}")
-
-
 def edgeless(n: int) -> Cotree:
     """The empty graph on n vertices."""
-    _require_order(n, 1, "edgeless graph")
+    check_order("edgeless graph", n, 1, MAX_ORDER)
     if n == 1:
         return LEAF_TREE
     return Cotree(UNION, (LEAF_TREE,) * n)
@@ -321,7 +317,7 @@ def edgeless(n: int) -> Cotree:
 
 def complete(n: int) -> Cotree:
     """The complete graph on n vertices."""
-    _require_order(n, 1, "complete graph")
+    check_order("complete graph", n, 1, MAX_ORDER)
     if n == 1:
         return LEAF_TREE
     return Cotree(JOIN, (LEAF_TREE,) * n)
@@ -329,7 +325,7 @@ def complete(n: int) -> Cotree:
 
 def star(n: int) -> Cotree:
     """The star on n vertices: one center joined to n-1 independent leaves."""
-    _require_order(n, 1, "star")
+    check_order("star", n, 1, MAX_ORDER)
     if n == 1:
         return LEAF_TREE
     if n == 2:
@@ -339,15 +335,14 @@ def star(n: int) -> Cotree:
 
 def complete_bipartite(s: int, t: int) -> Cotree:
     """The complete bipartite graph with parts of sizes s and t."""
-    if s < 1 or t < 1:
-        raise OrderOutOfRange(f"complete bipartite parts must be >= 1, got ({s},{t})")
-    _require_order(s + t, 2, "complete bipartite graph")
+    check_order("complete bipartite part", min(s, t), 1, MAX_ORDER - 1)
+    check_order("complete bipartite graph", s + t, 2, MAX_ORDER)
     return canonicalize(Cotree(JOIN, (edgeless(s), edgeless(t))))
 
 
 def skillet(n: int) -> Cotree:
     """The n-skillet: one universal vertex joined to K_1 together with K_{n-2}."""
-    _require_order(n, 3, "skillet")
+    check_order("skillet", n, 3, MAX_ORDER)
     return canonicalize(
         Cotree(JOIN, (LEAF_TREE, Cotree(UNION, (LEAF_TREE, complete(n - 2)))))
     )

@@ -33,7 +33,7 @@ from .cotree import (
 # canonicalize is no longer called here; bench/selfcheck.py still checks that
 # the tracer wraps it in this namespace.
 from .cotree import canonicalize  # noqa: F401
-from .errors import OrderOutOfRange
+from .errors import check_order
 from .graph import Graph, _component, _triangle_adj, from_edge_list
 
 # The largest order whose full enumeration (``cographmean enumerate cographs
@@ -84,12 +84,8 @@ def enumerate_cotrees(order: int, family: Family = Family.COGRAPHS) -> Iterator[
     """Every canonical cotree of a cotree family with ``order`` leaves, in
     printed lexicographic order."""
     family = _cotree_family(family)
-    if not 1 <= order <= MAX_COTREE_LEAVES:
-        raise OrderOutOfRange(
-            f"cotree enumeration supports 1..{MAX_COTREE_LEAVES} leaves, got {order}"
-        )
-    for kind in _root_kinds(order, family):
-        yield from _cotree_pool(order, kind)
+    check_order("cotree enumeration", order, 1, MAX_COTREE_LEAVES)
+    return (tree for kind in _root_kinds(order, family) for tree in _cotree_pool(order, kind))
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +264,12 @@ def enumerate_connected_graphs(order: int) -> Iterator[Graph]:
     The representatives need not be in canonical form; map them through
     :func:`canonical_graph` for the printed form.
     """
-    if not 1 <= order <= MAX_GRAPH_ENUM_ORDER:
-        raise OrderOutOfRange(
-            f"graph enumeration supports 1..{MAX_GRAPH_ENUM_ORDER}, got {order}"
-        )
+    check_order("graph enumeration", order, 1, MAX_GRAPH_ENUM_ORDER)
+    return _connected_classes(order)
+
+
+def _connected_classes(order: int) -> Iterator[Graph]:
+    """The stream :func:`enumerate_connected_graphs` returns, built lazily."""
     full = (1 << order) - 1
     for adj in _graph_classes(order):
         if _component(adj, full, 1) == full:
@@ -330,12 +328,8 @@ def enumerate_caterpillars(order: int) -> Iterator[Graph]:
     Spine length k with leaf counts (l_1..l_k), l_1 and l_k positive, is a
     complete invariant up to reversal.
     """
-    if not 2 <= order <= MAX_CATERPILLAR_ORDER:
-        raise OrderOutOfRange(
-            f"caterpillar enumeration supports 2..{MAX_CATERPILLAR_ORDER}, got {order}"
-        )
-    for spine, leaves in _caterpillar_profiles(order):
-        yield _caterpillar_graph(spine, leaves)
+    check_order("caterpillar enumeration", order, 2, MAX_CATERPILLAR_ORDER)
+    return (_caterpillar_graph(spine, leaves) for spine, leaves in _caterpillar_profiles(order))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,16 @@
-"""Exception types raised across the package.
+"""Exception types raised across the package, and the one order-range rule.
 
 Everything derives from :class:`CographMeanError`, itself a ``ValueError``,
 so callers that do not care about the precise failure can catch either.
+
+Every order range the package enforces, from a graph's 1..64 to a suite's
+``--nmax``, is checked by :func:`check_order`, so each fails the same way:
+:class:`OrderOutOfRange` with the message ``"{what} supports {lo}..{hi},
+got {n}"``.  Parameters that are not orders (a closed form's part size, a
+theta graph's path lengths) raise :class:`RangeError` instead.
 """
+
+from math import inf
 
 
 class CographMeanError(ValueError):
@@ -15,6 +23,13 @@ class RangeError(CographMeanError):
 
 class OrderOutOfRange(RangeError):
     """Graph or cotree order outside the supported/configured range."""
+
+
+def check_order(what: str, n: int, lo: int, hi: float = inf) -> None:
+    """Raise :class:`OrderOutOfRange` unless ``lo <= n <= hi``; ``what``
+    names the entry point, and the default ``hi`` leaves the range open."""
+    if not lo <= n <= hi:
+        raise OrderOutOfRange(f"{what} supports {lo}..{hi}, got {n}")
 
 
 class LoopEdge(CographMeanError):

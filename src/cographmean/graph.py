@@ -23,10 +23,10 @@ from .errors import (
     EmptySubset,
     LoopEdge,
     MalformedHeader,
-    OrderOutOfRange,
     TrailingGarbage,
     TruncatedBits,
     VertexOutOfRange,
+    check_order,
 )
 
 MAX_ORDER = 64
@@ -119,8 +119,7 @@ class Graph(Value):
 
     def __init__(self, order: int, adj: tuple[int, ...]):
         adj = tuple(adj)
-        if not 1 <= order <= MAX_ORDER:
-            raise OrderOutOfRange(f"graph order must be in 1..{MAX_ORDER}, got {order}")
+        check_order("graph", order, 1, MAX_ORDER)
         if len(adj) != order:
             raise ValueError("adjacency tuple length does not match order")
         full = (1 << order) - 1
@@ -161,8 +160,7 @@ class Graph(Value):
 
 def from_edge_list(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list; duplicate edges collapse."""
-    if not 1 <= order <= MAX_ORDER:
-        raise OrderOutOfRange(f"graph order must be in 1..{MAX_ORDER}, got {order}")
+    check_order("graph", order, 1, MAX_ORDER)
     adj = [0] * order
     for u, v in edges:
         if not (0 <= u < order and 0 <= v < order):
@@ -298,8 +296,7 @@ def parse_graph6(text: str) -> Graph:
     if not text:
         raise MalformedHeader("empty graph6 string")
     n, start = _decode_order(text)
-    if not 1 <= n <= MAX_ORDER:
-        raise OrderOutOfRange(f"graph6 order {n} outside 1..{MAX_ORDER}")
+    check_order("graph6", n, 1, MAX_ORDER)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     body = text[start:]

@@ -35,7 +35,7 @@ from itertools import combinations_with_replacement
 from .cotree import (
     JOIN, LEAF, LEAF_TREE, UNION, Cotree, Family, _cotree_family, _root_kinds, compose
 )
-from .errors import OrderOutOfRange
+from .errors import check_order
 from .poly import _pair_mean, _power_pair
 
 Entry = tuple[int, int, int]  # (w, V, D) of one tree
@@ -198,8 +198,7 @@ def extremal_cotrees(
     second entry, the best-scoring other tree, seeds the runner-up search.
     """
     family = _cotree_family(family)
-    if n < 1:
-        raise OrderOutOfRange(f"a cotree has at least 1 leaf, got {n}")
+    check_order("cotree knapsack", n, 1)
     sign = 1 if maximize else -1
     lam = Fraction(0) if start is None else start
     tables, top = _dinkelbach(n, family, sign, 2, lam, None)

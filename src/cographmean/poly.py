@@ -18,12 +18,12 @@ from math import comb
 from .cotree import LEAF, UNION, Cotree
 from .errors import (
     LeafOutOfRange,
-    OrderOutOfRange,
     ProbabilityOutOfRange,
     RangeError,
     UnknownFamily,
     VertexOutOfRange,
     ZeroPolynomial,
+    check_order,
 )
 from .graph import MAX_ORDER, Graph, Value
 
@@ -82,7 +82,15 @@ class SubgraphPolynomial(Value):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SubgraphPolynomial":
-        return cls(int(data["n"]), tuple(int(a) for a in data["coeffs"]))
+        if not isinstance(data, dict):
+            raise ValueError(f"polynomial JSON must be an object, got {type(data).__name__}")
+        for key in cls._fields:
+            if key not in data:
+                raise ValueError(f"polynomial JSON has no {key!r}")
+        try:
+            return cls(int(data["n"]), tuple(int(a) for a in data["coeffs"]))
+        except TypeError as exc:
+            raise ValueError(f"polynomial JSON has the wrong shape: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +125,7 @@ def _phi(t: Cotree) -> SubgraphPolynomial:
 
 def phi_cotree(t: Cotree) -> SubgraphPolynomial:
     """Polynomial of the graph a cotree realizes, via the union/join recursion."""
-    if t.leaf_count > MAX_ORDER:
-        raise OrderOutOfRange(f"cotree has {t.leaf_count} leaves, cap is {MAX_ORDER}")
+    check_order("cotree polynomial", t.leaf_count, 1, MAX_ORDER)
     return _phi(t)
 
 
@@ -129,8 +136,7 @@ def phi_local_cotree(t: Cotree, leaf_index: int) -> SubgraphPolynomial:
     subset meeting the other side is connected, contributing
     x[(1+x)^{n-1} - (1+x)^{s-1}] on top of the part's own local polynomial.
     """
-    if t.leaf_count > MAX_ORDER:
-        raise OrderOutOfRange(f"cotree has {t.leaf_count} leaves, cap is {MAX_ORDER}")
+    check_order("local cotree polynomial", t.leaf_count, 1, MAX_ORDER)
     if not 0 <= leaf_index < t.leaf_count:
         raise LeafOutOfRange(
             f"leaf index {leaf_index} outside 0..{t.leaf_count - 1}"
@@ -179,11 +185,8 @@ def _phi_local_leaves(t: Cotree) -> list[SubgraphPolynomial]:
 
 
 def _check_cap(g: Graph, cap: int | None) -> int:
-    limit = DEFAULT_BRUTE_FORCE_CAP if cap is None else cap
-    if g.order > limit:
-        raise OrderOutOfRange(
-            f"order {g.order} exceeds the brute-force cap {limit}"
-        )
+    # Order 0 is the empty base that the order-1 connected-graph search grows.
+    check_order("brute-force cap", g.order, 0, DEFAULT_BRUTE_FORCE_CAP if cap is None else cap)
     return g.order
 
 

@@ -38,7 +38,7 @@ from .enumeration import (
     _extend,
     enumerate_cotrees,
 )
-from .errors import NoWitnessFound, OrderOutOfRange, RangeError
+from .errors import NoWitnessFound, check_order
 from .graph import Graph, Value, emit_graph6
 from .poly import (
     MeanFamily,
@@ -366,10 +366,7 @@ def verify_inequality_sweeps(n_max: int = 64) -> list[TheoremVerdict]:
     Each inequality must hold from its stated threshold onward; rows below
     the threshold are evaluated and logged, never failed.
     """
-    if not 9 <= n_max <= MAX_INEQUALITY_ORDER:
-        raise RangeError(
-            f"inequality sweeps support n_max in 9..{MAX_INEQUALITY_ORDER}, got {n_max}"
-        )
+    check_order("inequality sweep", n_max, 9, MAX_INEQUALITY_ORDER)
     return [run_sweep(sweep, n_max) for sweep in INEQUALITIES]
 
 
@@ -505,10 +502,7 @@ MAX_STRUCTURAL_ORDER = 12
 
 def verify_structural_theorems(n_max: int = 8) -> list[TheoremVerdict]:
     """Exhaustive per-vertex and per-graph checks over all cographs <= n_max."""
-    if not 2 <= n_max <= MAX_STRUCTURAL_ORDER:
-        raise RangeError(
-            f"structural checks support n_max in 2..{MAX_STRUCTURAL_ORDER}, got {n_max}"
-        )
+    check_order("structural sweep", n_max, 2, MAX_STRUCTURAL_ORDER)
     return [run_sweep(sweep, n_max) for sweep in STRUCTURAL]
 
 
@@ -548,12 +542,7 @@ def find_local_counterexample(n: int = 14) -> LocalCounterexample:
     graph, and the joined graph, are counted by
     :func:`~cographmean.poly.phi_bruteforce`.
     """
-    if n < 14:
-        raise RangeError(f"the construction needs order >= 14, got {n}")
-    if n - 1 > MAX_CATERPILLAR_ORDER:
-        raise OrderOutOfRange(
-            f"caterpillar search supports base order <= {MAX_CATERPILLAR_ORDER}"
-        )
+    check_order("local-mean counterexample", n, 14, MAX_CATERPILLAR_ORDER + 1)
     m = n - 1
     for spine, leaves in _caterpillar_profiles(m):
         value, deriv = _caterpillar_pair(leaves)

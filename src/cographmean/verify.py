@@ -36,7 +36,7 @@ from .cotree import (
 )
 # Not called here: bench/selfcheck.py checks that its tracer rebinds verify.generate.
 from .enumeration import _extend, _max_degree_extensions, canonical_graph, generate
-from .errors import OrderOutOfRange, RangeError, UnknownFamily
+from .errors import RangeError, UnknownFamily, check_order
 from .graph import (
     MAX_ORDER,
     Graph,
@@ -148,8 +148,7 @@ def max_mean_connected_cograph(n: int) -> Cotree:
     on it is the star (verified by :func:`verify_star_max` up to its cap,
     order 64).
     """
-    if n < 1:
-        raise RangeError(f"order must be >= 1, got {n}")
+    check_order("maximum-mean connected cograph", n, 1, MAX_ORDER)
     return _TABLE1[n][0]() if n in _TABLE1 else star(n)
 
 
@@ -270,7 +269,7 @@ MAX_GRAPH_SEARCH_ORDER = 9
 
 
 def extremal_search(
-    family: Family, order: int, objective: Objective, start: Fraction | None = None
+    family: Family, order: int, objective: Objective, start: Fraction | str | None = None
 ) -> ExtremalReport:
     """Exact argmax/argmin of the global mean over one family's classes of
     one order, without listing them.
@@ -278,8 +277,9 @@ def extremal_search(
     A cotree family (orders 1..64) goes to
     :func:`~cographmean.knapsack.extremal_cotrees`, started at ``start``, a
     guess at the extremal mean: any guess gives the same report, and the
-    right one the fewest knapsack tables.  Connected graphs (orders
-    1..``MAX_GRAPH_SEARCH_ORDER``) are scored on
+    right one the fewest knapsack tables.  It is taken exactly, as
+    ``Fraction(start)``, so a float or a string such as ``"7/2"`` will do.
+    Connected graphs (orders 1..``MAX_GRAPH_SEARCH_ORDER``) are scored on
     :func:`_scored_extensions`, which never deduplicates: every connected
     class is some connected extension, and each extension is some class,
     so the best and runner-up means over the extensions are those over the
@@ -295,13 +295,12 @@ def extremal_search(
         raise UnknownFamily("no extremal search over caterpillars")
     cotrees = family in ROOT_KINDS
     cap = MAX_ORDER if cotrees else MAX_GRAPH_SEARCH_ORDER
-    if not 1 <= order <= cap:
-        raise OrderOutOfRange(f"{family.value} search supports 1..{cap}, got {order}")
+    check_order(f"{family.value} search", order, 1, cap)
     maximize = objective is Objective.GLOBAL_MEAN_MAX
     if cotrees:
         from .knapsack import extremal_cotrees
 
-        winners, gap = extremal_cotrees(order, family, maximize, start)
+        winners, gap = extremal_cotrees(order, family, maximize, Fraction(start or 0))
     else:
         sign = 1 if maximize else -1
         best, tied, second = _extremes(
@@ -351,10 +350,7 @@ class ExtremalClaim(Value):
 
 def run_claim(claim: ExtremalClaim, n_max: int) -> TheoremVerdict:
     """Check ``claim`` at orders lo..n_max; FAIL at the first order it misses."""
-    if not claim.lo <= n_max <= claim.hi:
-        raise OrderOutOfRange(
-            f"{claim.range_label} supports {claim.lo}..{claim.hi}, got {n_max}"
-        )
+    check_order(claim.range_label, n_max, claim.lo, claim.hi)
     cotrees = claim.family in ROOT_KINDS
     log, witness = [], None
     for n in range(claim.lo, n_max + 1):

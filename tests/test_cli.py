@@ -464,6 +464,24 @@ def test_enumerate_order_zero_is_usage_error(capsys, family):
     assert "supports" in err and err.rstrip().endswith("got 0")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("enumerate cographs 16", "cotree enumeration supports 1..15, got 16"),
+        ("enumerate caterpillars 1", "caterpillar enumeration supports 2..20, got 1"),
+        ("verify star-max --nmax 65", "star maximality sweep supports 7..64, got 65"),
+        ("verify local-mean --nmax 13", "structural sweep supports 2..12, got 13"),
+        ("verify inequalities --nmax 8", "inequality sweep supports 9..512, got 8"),
+        ("mean DQc --brute-force-cap 3", "brute-force cap supports 0..3, got 5"),
+        ("mean ?", "graph6 supports 1..64, got 0"),
+    ],
+)
+def test_order_out_of_range_has_one_message_shape(capsys, argv, message):
+    code, out, err = run(capsys, *argv.split())
+    assert_usage_error(code, out, err)
+    assert err.strip() == f"error: {message}"
+
+
 def test_closed_stdout_exits_141_without_traceback(tmp_path):
     # 600 kB of output: more than a pipe holds, so the writer is still
     # writing when the reader goes away.

@@ -54,6 +54,23 @@ def test_polynomial_json_round_trip():
     assert SubgraphPolynomial.from_json_dict(data) == p
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ([5, ["5"]], "must be an object, got list"),
+        ("x", "must be an object, got str"),
+        ({"coeffs": ["1"]}, "has no 'n'"),
+        ({"n": 1}, "has no 'coeffs'"),
+        ({"n": 1, "coeffs": 1}, "wrong shape"),
+        ({"n": None, "coeffs": ["1"]}, "wrong shape"),
+        ({"n": 2, "coeffs": ["1"]}, "coefficient count"),
+    ],
+)
+def test_polynomial_json_input_errors_are_value_errors(data, message):
+    with pytest.raises(ValueError, match=message):
+        SubgraphPolynomial.from_json_dict(data)
+
+
 def test_phi_cotree_frozen_values():
     assert phi_cotree(star(4)).coeffs == (4, 3, 3, 1)
     assert phi_cotree(complete(4)).coeffs == (4, 6, 4, 1)

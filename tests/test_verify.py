@@ -116,6 +116,7 @@ def test_extremal_search_formats_only_its_winners(monkeypatch, n, objective):
         (Family.DISCONNECTED_COGRAPHS, 65, "disconnected-cographs search supports 1..64, got 65"),
         (Family.CONNECTED_GRAPHS, 0, "connected-graphs search supports 1..9, got 0"),
         (Family.CONNECTED_GRAPHS, 10, "connected-graphs search supports 1..9, got 10"),
+        (Family.COGRAPHS, -3, "cographs search supports 1..64, got -3"),
     ],
 )
 def test_extremal_search_rejects_orders_outside_its_range(family, order, message):
@@ -130,6 +131,15 @@ def test_extremal_search_refuses_caterpillars():
         with pytest.raises(UnknownFamily) as caught:
             extremal_search("caterpillars", order, Objective.GLOBAL_MEAN_MIN)
         assert str(caught.value) == "no extremal search over caterpillars"
+
+
+@pytest.mark.parametrize("objective", list(Objective))
+def test_extremal_search_takes_any_exact_start(objective):
+    # An int, a float, a string or a Fraction start is converted exactly,
+    # and any start gives the report of none.
+    cold = extremal_search(Family.CONNECTED_COGRAPHS, 8, objective)
+    for start in (3, 2.5, "7/2", Fraction(583, 135), 0):
+        assert extremal_search(Family.CONNECTED_COGRAPHS, 8, objective, start) == cold, start
 
 
 def _difference(x, y):
