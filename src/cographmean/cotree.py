@@ -63,14 +63,6 @@ ROOT_KINDS = {
 }
 
 
-def _cotree_family(family: Family | str) -> Family:
-    """``family`` as a member of ``Family`` that ``ROOT_KINDS`` keys."""
-    family = Family(family)
-    if family not in ROOT_KINDS:
-        raise UnknownFamily(f"{family.value} is not a cotree family")
-    return family
-
-
 def _root_kinds(n: int, family: Family) -> tuple[str, ...]:
     """The root kinds of the order-n cotrees of a cotree family: at order 1
     the lone leaf, which is connected, else ``ROOT_KINDS``."""
@@ -208,20 +200,15 @@ def cotree_to_graph(t: Cotree) -> Graph:
     def visit(node: Cotree, offset: int) -> None:
         if node.kind == LEAF:
             return
-        spans = []
-        off = offset
+        whole = ((1 << node.leaf_count) - 1) << offset
         for child in node.children:
-            spans.append(((1 << child.leaf_count) - 1) << off)
-            visit(child, off)
-            off += child.leaf_count
-        if node.kind == JOIN:
-            whole = 0
-            for m in spans:
-                whole |= m
-            for m in spans:
-                others = whole & ~m
-                for v in iter_bits(m):
+            span = ((1 << child.leaf_count) - 1) << offset
+            visit(child, offset)
+            if node.kind == JOIN:
+                others = whole & ~span
+                for v in iter_bits(span):
                     adj[v] |= others
+            offset += child.leaf_count
 
     visit(t, 0)
     return Graph._make(n, tuple(adj))

@@ -27,13 +27,13 @@ from collections.abc import Iterator
 from functools import lru_cache
 
 from .cotree import (
-    JOIN, LEAF, LEAF_TREE, UNION, Cotree, Family, _cotree_family, _root_kinds, compose,
+    JOIN, LEAF, LEAF_TREE, ROOT_KINDS, UNION, Cotree, Family, _root_kinds, compose,
     format_cotree,
 )
 # canonicalize is no longer called here; bench/selfcheck.py still checks that
 # the tracer wraps it in this namespace.
 from .cotree import canonicalize  # noqa: F401
-from .errors import check_order
+from .errors import UnknownFamily, check_order
 from .graph import Graph, _component, _triangle_adj, from_edge_list
 
 # The largest order whose full enumeration (``cographmean enumerate cographs
@@ -83,7 +83,9 @@ def _cotree_pool(leaves: int, root_kind: str) -> tuple[Cotree, ...]:
 def enumerate_cotrees(order: int, family: Family = Family.COGRAPHS) -> Iterator[Cotree]:
     """Every canonical cotree of a cotree family with ``order`` leaves, in
     printed lexicographic order."""
-    family = _cotree_family(family)
+    family = Family(family)
+    if family not in ROOT_KINDS:
+        raise UnknownFamily(f"{family.value} is not a cotree family")
     check_order("cotree enumeration", order, 1, MAX_COTREE_LEAVES)
     return (tree for kind in _root_kinds(order, family) for tree in _cotree_pool(order, kind))
 
@@ -195,7 +197,7 @@ def canonical_graph(g: Graph) -> Graph:
     keeps every order of a tied independent prefix: nothing of 8 or fewer
     vertices is affected, but a sparse 14-vertex graph can take 3-5 s and
     140 MB on a 2-core Xeon."""
-    return Graph(g.order, _triangle_adj(g.order, _min_code(g.order, g.adj)))
+    return Graph._make(g.order, _triangle_adj(g.order, _min_code(g.order, g.adj)))
 
 
 def _extend(base: tuple[int, ...], nbrs: int) -> tuple[int, ...]:

@@ -1,7 +1,14 @@
 """Exception types raised across the package, and the one order-range rule.
 
-Everything derives from :class:`CographMeanError`, itself a ``ValueError``,
-so callers that do not care about the precise failure can catch either.
+Every type here derives from :class:`CographMeanError`, itself a
+``ValueError``.  An unknown name (a family, a mean family, an objective),
+an order outside its range, a vertex, probability or parameter out of
+bounds, and malformed graph6 or cotree text raise one of them, so the CLI
+reports each as a usage error.  A malformed value passed straight to a
+constructor raises a plain ``ValueError`` or ``TypeError`` instead: an
+adjacency tuple that is too short or not symmetric, a cotree node of an
+unknown kind, polynomial coefficients or JSON of the wrong shape, a record
+built with a missing or unknown field.
 
 Every order range the package enforces, from a graph's 1..64 to a suite's
 ``--nmax``, is checked by :func:`check_order`, so each fails the same way:
@@ -10,24 +17,23 @@ got {n}"``.  Parameters that are not orders (a closed form's part size, a
 theta graph's path lengths) raise :class:`RangeError` instead.
 """
 
-from math import inf
-
 
 class CographMeanError(ValueError):
-    """Base class for all errors raised by this package."""
+    """Base class of the package's own errors."""
 
 
 class RangeError(CographMeanError):
-    """A closed-form or search parameter is outside its stated range."""
+    """A closed-form or search parameter (such as an objective) is outside
+    its stated range."""
 
 
 class OrderOutOfRange(RangeError):
     """Graph or cotree order outside the supported/configured range."""
 
 
-def check_order(what: str, n: int, lo: int, hi: float = inf) -> None:
+def check_order(what: str, n: int, lo: int, hi: int) -> None:
     """Raise :class:`OrderOutOfRange` unless ``lo <= n <= hi``; ``what``
-    names the entry point, and the default ``hi`` leaves the range open."""
+    names the entry point."""
     if not lo <= n <= hi:
         raise OrderOutOfRange(f"{what} supports {lo}..{hi}, got {n}")
 

@@ -5,8 +5,10 @@ Vertices are the dense integers 0..order-1.  A vertex subset is a plain
 and set algebra is bit algebra.  Graphs are immutable values; every
 operation here is pure.
 
-``Graph(order, adj)`` and the parsers check their input; ``complement`` and
-``induced_subgraph`` build from a valid graph with the unchecked ``Graph._make``.
+``Graph(order, adj)`` checks its input.  ``from_edge_list`` and
+``parse_graph6`` check what they read, then build with the unchecked
+``Graph._make``, as ``complement`` and ``induced_subgraph`` do from a valid
+graph.
 
 The interchange format is graph6: an N(n) header byte (``~`` and three
 for n >= 63, or ``~~`` and six) followed by the triangle code of
@@ -169,7 +171,7 @@ def from_edge_list(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise LoopEdge(f"loop at vertex {u}")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return Graph(order, tuple(adj))
+    return Graph._make(order, tuple(adj))
 
 
 def complement(g: Graph) -> Graph:
@@ -314,7 +316,7 @@ def parse_graph6(text: str) -> Graph:
     # the last byte's remaining bits must be zero padding
     if code & (1 << pad) - 1:
         raise TrailingGarbage("nonzero padding bits")
-    return Graph(n, _triangle_adj(n, code >> pad))
+    return Graph._make(n, _triangle_adj(n, code >> pad))
 
 
 def emit_graph6(g: Graph) -> str:

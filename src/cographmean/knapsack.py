@@ -32,10 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .cotree import (
-    JOIN, LEAF, LEAF_TREE, UNION, Cotree, Family, _cotree_family, _root_kinds, compose
-)
-from .errors import check_order
+from .cotree import JOIN, LEAF, LEAF_TREE, UNION, Cotree, Family, _root_kinds, compose
 from .poly import _pair_mean, _power_pair
 
 Entry = tuple[int, int, int]  # (w, V, D) of one tree
@@ -163,8 +160,8 @@ class _Tables:
 
 
 def _dinkelbach(
-    n: int,
     family: Family,
+    n: int,
     sign: int,
     keep: int,
     lam: Fraction,
@@ -186,22 +183,21 @@ def _dinkelbach(
         lam = _pair_mean(entries[0][1:])
 
 
-def extremal_cotrees(
-    n: int, family: Family, maximize: bool, start: Fraction | None = None
+def _extremal_cotrees(
+    family: Family, n: int, sign: int, lam: Fraction
 ) -> tuple[tuple[tuple[str, Fraction], ...], Fraction | None]:
     """The winners, as (printed form, mean) sorted by form, and the gap to
     the best strictly worse mean (None if every tree is a winner), of the
-    global mean over the order-n cotrees of a cotree family.
+    global mean over the order-n cotrees of a cotree family: the maximum
+    at ``sign`` 1, the minimum at -1.
 
-    The search starts at λ = ``start`` (0 if None).  Started at the
-    extremal mean, it needs one table to certify it, and that table's
-    second entry, the best-scoring other tree, seeds the runner-up search.
+    The search starts at λ = ``lam``.  Started at the extremal mean, it
+    needs one table to certify it, and that table's second entry, the
+    best-scoring other tree, seeds the runner-up search.  The arguments are
+    taken as given: :func:`~cographmean.verify.extremal_search` checks and
+    converts them.
     """
-    family = _cotree_family(family)
-    check_order("cotree knapsack", n, 1)
-    sign = 1 if maximize else -1
-    lam = Fraction(0) if start is None else start
-    tables, top = _dinkelbach(n, family, sign, 2, lam, None)
+    tables, top = _dinkelbach(family, n, sign, 2, lam, None)
     if not top:
         return (), None
     best = _pair_mean(top[0][1:])
@@ -210,6 +206,6 @@ def extremal_cotrees(
     if len(top) == 1:  # a family of one tree has no runner-up
         return winners, None
     _, runner_up = _dinkelbach(
-        n, family, sign, len(forms) + 1, _pair_mean(top[1][1:]), best
+        family, n, sign, len(forms) + 1, _pair_mean(top[1][1:]), best
     )
     return winners, None if not runner_up else abs(best - _pair_mean(runner_up[0][1:]))

@@ -356,14 +356,17 @@ class MeanFamily(str, Enum):
     STAR = "star"                                      # K_{1,n-1}, global mean
     SKILLET = "skillet"                                # n-skillet, global mean
     COMPLETE = "complete"                              # K_n, global mean
-    COMPLETE_BIPARTITE_MSTAR = "complete-bipartite-mstar"  # K_{s,n-s}, M* mean
     K1_UNION_STAR = "k1-union-star"                    # K_1 u K_{1,n-2}, global mean
     STAR_MSTAR = "star-mstar"                          # K_{1,n-3}, M* mean
     K_2_N3 = "k2-n3"                                   # K_{2,n-3}, global mean
     STAR_N3 = "star-n3"                                # K_{1,n-3}, global mean
 
+    @classmethod
+    def _missing_(cls, value: object) -> None:
+        raise UnknownFamily(f"unknown mean family {value!r}")
 
-# family -> (least order n, mean at n); COMPLETE_BIPARTITE_MSTAR also needs s
+
+# family -> (least order n, mean at n)
 _CLOSED_FORMS = {
     MeanFamily.STAR: (1, lambda n:
         Fraction(n + 1, 2) - Fraction((n - 1) ** 2, 2 * (2 ** (n - 1) + n - 1))),
@@ -379,26 +382,16 @@ _CLOSED_FORMS = {
 }
 
 
-def closed_form_means(
-    family: MeanFamily | str, n: int, s: int | None = None
-) -> Fraction:
+def closed_form_means(family: MeanFamily | str, n: int) -> Fraction:
     """Exact mean of a named family at ambient order n.
 
     STAR/SKILLET/COMPLETE describe graphs of order n itself; the remaining
     families follow the indexing conventions of the disconnected-maximum
-    analysis, where K_{1,n-3} and K_{2,n-3} have orders n-2 and n-1.
-    COMPLETE_BIPARTITE_MSTAR additionally needs the part size ``s``.
+    analysis, where K_{1,n-3} and K_{2,n-3} have orders n-2 and n-1.  The
+    M* mean of K_{s,n-s} is ``Fraction(deriv, value)`` of
+    :func:`closed_form_psi`.
     """
-    try:
-        family = MeanFamily(family)
-    except ValueError:
-        raise UnknownFamily(f"unknown mean family {family!r}") from None
-
-    if family is MeanFamily.COMPLETE_BIPARTITE_MSTAR:
-        if s is None:
-            raise RangeError("complete-bipartite-mstar needs the part size s")
-        value, deriv = closed_form_psi(s, n)
-        return Fraction(deriv, value)
+    family = MeanFamily(family)
     least, mean = _CLOSED_FORMS[family]
     if n < least:
         raise RangeError(f"{family.value} mean needs n >= {least}")

@@ -556,7 +556,7 @@ def find_local_counterexample(n: int = 14) -> LocalCounterexample:
     tree_mean = global_mean(phi_bruteforce(tree))
     if tree_mean != Fraction(deriv, value):
         raise AssertionError("caterpillar mean certification failed")
-    g = Graph(n, _extend(tree.adj, (1 << m) - 1))
+    g = Graph._make(n, _extend(tree.adj, (1 << m) - 1))
     g_mean = global_mean(phi_bruteforce(g))
     local = phi_local_bruteforce(g, m)
     binomial_row = tuple(comb(n - 1, k - 1) for k in range(1, n + 1))

@@ -62,6 +62,10 @@ class Objective(str, Enum):
     GLOBAL_MEAN_MAX = "max"
     GLOBAL_MEAN_MIN = "min"
 
+    @classmethod
+    def _missing_(cls, value: object) -> None:
+        raise RangeError(f"unknown objective {value!r}, expected 'max' or 'min'")
+
 
 class ExtremalReport(Value):
     """Outcome of an exact argmax/argmin over one enumerated family."""
@@ -274,11 +278,12 @@ def extremal_search(
     """Exact argmax/argmin of the global mean over one family's classes of
     one order, without listing them.
 
-    A cotree family (orders 1..64) goes to
-    :func:`~cographmean.knapsack.extremal_cotrees`, started at ``start``, a
-    guess at the extremal mean: any guess gives the same report, and the
-    right one the fewest knapsack tables.  It is taken exactly, as
-    ``Fraction(start)``, so a float or a string such as ``"7/2"`` will do.
+    The arguments are checked and converted here, once.  A cotree family
+    (orders 1..64) goes to :func:`~cographmean.knapsack._extremal_cotrees`,
+    started at ``start``, a guess at the extremal mean: any guess gives the
+    same report, and the right one the fewest knapsack tables.  It is taken
+    exactly, as ``Fraction(start)``, so a float or a string such as
+    ``"7/2"`` will do.
     Connected graphs (orders 1..``MAX_GRAPH_SEARCH_ORDER``) are scored on
     :func:`_scored_extensions`, which never deduplicates: every connected
     class is some connected extension, and each extension is some class,
@@ -296,13 +301,12 @@ def extremal_search(
     cotrees = family in ROOT_KINDS
     cap = MAX_ORDER if cotrees else MAX_GRAPH_SEARCH_ORDER
     check_order(f"{family.value} search", order, 1, cap)
-    maximize = objective is Objective.GLOBAL_MEAN_MAX
+    sign = 1 if objective is Objective.GLOBAL_MEAN_MAX else -1
     if cotrees:
-        from .knapsack import extremal_cotrees
+        from .knapsack import _extremal_cotrees
 
-        winners, gap = extremal_cotrees(order, family, maximize, Fraction(start or 0))
+        winners, gap = _extremal_cotrees(family, order, sign, Fraction(start or 0))
     else:
-        sign = 1 if maximize else -1
         best, tied, second = _extremes(
             (((base, nbrs), (v, d)) for base, nbrs, v, d in _scored_extensions(order)),
             lambda x, y: sign * _cmp_means(x, y),

@@ -29,7 +29,8 @@ def pytest_addoption(parser):
         "--runslow",
         action="store_true",
         default=False,
-        help="also run the opt-in long-running checks (order-8 graph sweeps, order-9 pins)",
+        help="also run the opt-in long-running checks "
+        "(order-8 graph sweeps, order-9 pins, the mutation pass)",
     )
 
 

@@ -18,9 +18,10 @@ pytest does not collect this file.  ``tests/test_mutants.py`` checks in
 tier-1 that every snippet still occurs exactly once in ``src/`` and that
 every named test exists, so a change that moves or rewrites a snippet must
 move its record with it.  A change that adds a fast path adds its mutants
-here.
+here.  Under ``pytest --runslow``, ``test_every_mutant_is_killed`` runs
+this script and expects exit 0.
 
-A full pass of the 57 mutants took 70-87 s (two runs) on a 2-core host,
+A full pass of the 60 mutants took 70-81 s (two runs) on a 2-core host,
 one mutant at a time.
 
 Background: DeMillo, Lipton and Sayward 1978, "Hints on test data
@@ -158,6 +159,15 @@ MUTANTS = [
         ),
     ),
     Mutant(
+        "edge-list-one-way", "cographmean/graph.py",
+        "        adj[v] |= 1 << u\n",
+        "",
+        (
+            "tests/test_graph.py::test_from_edge_list_path3",
+            f"{_VALUES}::test_unchecked_graphs_pass_the_public_constructor",
+        ),
+    ),
+    Mutant(
         "complement-keeps-loop-bits", "cographmean/graph.py",
         "tuple(full & ~mask & ~(1 << v) for v, mask in enumerate(g.adj))",
         "tuple(full & ~mask for v, mask in enumerate(g.adj))",
@@ -191,6 +201,15 @@ MUTANTS = [
         (
             "tests/test_cotree_properties.py::test_compose_yields_canonical_trees",
             "tests/test_acceptance.py::test_criterion_01_max_mean_table_orders_1_to_6",
+        ),
+    ),
+    Mutant(
+        "join-span-from-vertex-0", "cographmean/cotree.py",
+        "        whole = ((1 << node.leaf_count) - 1) << offset",
+        "        whole = (1 << node.leaf_count) - 1",
+        (
+            "tests/test_cotree.py::test_cotree_to_graph_examples",
+            f"{_VALUES}::test_unchecked_graphs_pass_the_public_constructor",
         ),
     ),
     Mutant(
@@ -370,6 +389,15 @@ MUTANTS = [
         ),
     ),
     Mutant(
+        "search-sign-always-max", "cographmean/verify.py",
+        "    sign = 1 if objective is Objective.GLOBAL_MEAN_MAX else -1",
+        "    sign = 1",
+        (
+            "tests/test_verify.py::test_extremal_search_min_order5",
+            f"{_SEARCH}::test_extremal_search_matches_the_oracle_on_connected_graphs[5-min]",
+        ),
+    ),
+    Mutant(
         "extremes-comparison-swapped", "cographmean/verify.py",
         "            lambda x, y: sign * _cmp_means(x, y),",
         "            lambda x, y: sign * _cmp_means(y, x),",
@@ -449,16 +477,16 @@ MUTANTS = [
     ),
     Mutant(
         "runner-up-seeded-at-winner", "cographmean/knapsack.py",
-        "        n, family, sign, len(forms) + 1, _pair_mean(top[1][1:]), best",
-        "        n, family, sign, len(forms) + 1, best, best",
+        "        family, n, sign, len(forms) + 1, _pair_mean(top[1][1:]), best",
+        "        family, n, sign, len(forms) + 1, best, best",
         (
             f"{_KNAPSACK}::test_claimed_star_mean_is_certified_with_two_tables",
         ),
     ),
     Mutant(
         "gap-run-keeps-only-winners", "cographmean/knapsack.py",
-        "        n, family, sign, len(forms) + 1, _pair_mean(top[1][1:]), best",
-        "        n, family, sign, len(forms), _pair_mean(top[1][1:]), best",
+        "        family, n, sign, len(forms) + 1, _pair_mean(top[1][1:]), best",
+        "        family, n, sign, len(forms), _pair_mean(top[1][1:]), best",
         (
             f"{_KNAPSACK}::test_knapsack_matches_enumeration[cographs-9-max]",
             f"{_KNAPSACK}::test_knapsack_matches_enumeration[connected-cographs-12-max]",

@@ -63,8 +63,8 @@ def test_unknown_family_and_ranges():
         closed_form_means(MeanFamily.SKILLET, 2)
     with pytest.raises(RangeError):
         closed_form_means(MeanFamily.STAR_MSTAR, 3)
-    with pytest.raises(RangeError):
-        closed_form_means(MeanFamily.COMPLETE_BIPARTITE_MSTAR, 5)  # s missing
+    with pytest.raises(UnknownFamily):
+        closed_form_means("complete-bipartite-mstar", 5)  # see closed_form_psi
 
 
 @pytest.mark.parametrize("n", range(3, 31))
@@ -77,9 +77,8 @@ def test_closed_forms_match_cotree_recursion(n):
         phi_cotree(complete(n))
     )
     for s in range(1, n):
-        assert closed_form_means(
-            MeanFamily.COMPLETE_BIPARTITE_MSTAR, n, s
-        ) == mstar_mean(phi_cotree(complete_bipartite(s, n - s)))
+        value, deriv = closed_form_psi(s, n)
+        assert Fraction(deriv, value) == mstar_mean(phi_cotree(complete_bipartite(s, n - s)))
 
 
 @pytest.mark.parametrize("n", range(4, 21))

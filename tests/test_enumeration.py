@@ -44,7 +44,6 @@ from cographmean.enumeration import (
 )
 from cographmean.errors import OrderOutOfRange, UnknownFamily
 from cographmean.graph import Graph, _triangle_adj, emit_graph6, parse_graph6
-from cographmean.knapsack import extremal_cotrees
 from cographmean.verify import (
     PATH_MIN,
     TABLE2,
@@ -81,8 +80,6 @@ def test_cotree_counts(n):
 def test_cotree_generators_take_only_cotree_families(family):
     with pytest.raises(UnknownFamily):
         next(enumerate_cotrees(3, family))
-    with pytest.raises(UnknownFamily):
-        extremal_cotrees(3, family, True)
 
 
 @pytest.mark.parametrize("n", range(2, 7))

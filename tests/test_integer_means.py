@@ -16,12 +16,10 @@ from test_cotree_properties import cotrees
 
 from cographmean.enumeration import enumerate_cotrees
 from cographmean.poly import (
-    MeanFamily,
     _cmp_means,
     _pair_mean,
     _phi_local_leaves,
     _power_pair,
-    closed_form_means,
     closed_form_psi,
     mstar_mean,
     phi_cotree,
@@ -60,7 +58,8 @@ def test_pairs_match_the_polynomials_on_random_cotrees(t):
 
 
 def _mstar(s, n):
-    return closed_form_means(MeanFamily.COMPLETE_BIPARTITE_MSTAR, n, s)
+    value, deriv = closed_form_psi(s, n)
+    return Fraction(deriv, value)
 
 
 def _bipartite_mean(s, n):

@@ -14,7 +14,7 @@ from cographmean import ExtremalReport, Family, Objective, extremal_search
 from cographmean import knapsack as knapsack_module
 from cographmean import verify as verify_module
 from cographmean.enumeration import enumerate_cotrees
-from cographmean.knapsack import _Tables, extremal_cotrees
+from cographmean.knapsack import _Tables
 from cographmean.poly import phi_cotree
 from cographmean.verify import (
     DISCONNECTED_MAX,
@@ -121,10 +121,10 @@ def test_cotree_claims_build_no_pool():
 COTREE_CLAIMS = [TABLE1, STAR_MAX, SKILLET_MIN, DISCONNECTED_MAX]
 
 
-def cold_start(n, family, maximize):
-    """The search as first written: Dinkelbach from λ = 0 keeping one entry,
-    then the runner-up search seeded at the best mean."""
-    sign = 1 if maximize else -1
+def cold_report(family, n, objective):
+    """The report of the search as first written: Dinkelbach from λ = 0
+    keeping one entry, then the runner-up search seeded at the best mean."""
+    sign = 1 if objective is Objective.GLOBAL_MEAN_MAX else -1
 
     def extreme(keep, lam, excluded):
         while True:
@@ -139,25 +139,21 @@ def cold_start(n, family, maximize):
             lam = Fraction(entry[2], entry[1])
 
     tables, top = extreme(1, Fraction(0), None)
-    if top is None:
-        return (), None
-    best = Fraction(top[2], top[1])
-    forms = sorted(t.form for t in tables.best_family_trees(family))
-    _, runner_up = extreme(len(forms) + 1, best, best)
-    gap = None if runner_up is None else abs(best - Fraction(runner_up[2], runner_up[1]))
-    return tuple((form, best) for form in forms), gap
-
-
-def _cold_report(claim, n):
-    winners, gap = cold_start(n, claim.family, claim.objective is Objective.GLOBAL_MEAN_MAX)
-    return ExtremalReport(claim.family.value, n, claim.objective.value, winners, gap)
+    winners, gap = (), None
+    if top is not None:
+        best = Fraction(top[2], top[1])
+        forms = sorted(t.form for t in tables.best_family_trees(family))
+        winners = tuple((form, best) for form in forms)
+        _, runner_up = extreme(len(forms) + 1, best, best)
+        gap = None if runner_up is None else abs(best - Fraction(runner_up[2], runner_up[1]))
+    return ExtremalReport(family.value, n, objective.value, winners, gap)
 
 
 def _check_warm_starts(claim, orders, steps):
     """At each order, the claimed mean (None for no claim) and the true
     mean one step above and below it give the cold start's report."""
     for n in orders:
-        cold = _cold_report(claim, n)
+        cold = cold_report(claim.family, n, claim.objective)
         truth = cold.winner_mean
         starts = [claim.expected_mean(n)]
         starts += [truth + sign * step for step in steps for sign in (1, -1)]
@@ -181,8 +177,9 @@ def test_warm_start_gives_the_cold_report_to_order_64(claim):
 @pytest.mark.parametrize("maximize", [True, False])
 @pytest.mark.parametrize("family", COTREE_FAMILIES, ids=["connected", "disconnected", "all"])
 def test_no_start_gives_the_cold_results(family, maximize):
+    objective = Objective.GLOBAL_MEAN_MAX if maximize else Objective.GLOBAL_MEAN_MIN
     for n in range(1, 13):
-        assert extremal_cotrees(n, family, maximize) == cold_start(n, family, maximize)
+        assert extremal_search(family, n, objective) == cold_report(family, n, objective)
 
 
 def _tables_built(monkeypatch):
@@ -216,9 +213,8 @@ def test_claimed_star_mean_is_certified_with_two_tables(monkeypatch):
 def test_claimed_mean_never_builds_more_tables_than_a_cold_start(monkeypatch, claim):
     built = _tables_built(monkeypatch)
     for n in range(claim.lo, min(claim.hi, 16) + 1):
-        maximize = claim.objective is Objective.GLOBAL_MEAN_MAX
         built.clear()
-        cold_start(n, claim.family, maximize)
+        cold_report(claim.family, n, claim.objective)
         cold = len(built)
         built.clear()
         extremal_search(claim.family, n, claim.objective, claim.expected_mean(n))

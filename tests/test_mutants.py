@@ -2,10 +2,12 @@
 occurs exactly once in ``src/``, and each test a record names exists.
 
 Running the mutants takes minutes, so tier-1 only checks the records;
-``python tests/mutants.py`` applies them.
+``python tests/mutants.py``, or ``pytest --runslow``, applies them.
 """
 
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -26,3 +28,12 @@ def test_mutant_fits_the_tree(mutant):
 
 def test_mutant_names_are_unique():
     assert len({m.name for m in MUTANTS}) == len(MUTANTS)
+
+
+@pytest.mark.slow
+def test_every_mutant_is_killed():
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tests" / "mutants.py")],
+        capture_output=True, text=True, timeout=900,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr

@@ -8,7 +8,6 @@ calls here never iterate.
 """
 
 import inspect
-from math import inf
 
 import pytest
 
@@ -40,7 +39,6 @@ from cographmean.cotree import LEAF_TREE, ROOT_KINDS, UNION, Cotree, Family
 from cographmean.enumeration import MAX_CATERPILLAR_ORDER, MAX_COTREE_LEAVES, MAX_GRAPH_ENUM_ORDER
 from cographmean.errors import OrderOutOfRange
 from cographmean.graph import MAX_ORDER
-from cographmean.knapsack import extremal_cotrees
 from cographmean.poly import DEFAULT_BRUTE_FORCE_CAP
 from cographmean.sweeps import MAX_INEQUALITY_ORDER, MAX_STRUCTURAL_ORDER
 from cographmean.verify import (
@@ -75,9 +73,9 @@ def _graph6(n):
 
 def _row(entry, what, lo, hi, call, accepted=(), floor=None, stream=False):
     """One entry point: ``call(n)`` at order n.  Orders below ``floor`` have
-    no input (a cotree has a leaf), so lo - 1 is skipped when under it; an
-    open top has no hi + 1.  A ``stream`` returns a generator."""
-    rejected = [n for n in (lo - 1, hi + 1) if n != inf and (floor is None or n >= floor)]
+    no input (a cotree has a leaf), so lo - 1 is skipped when under it.  A
+    ``stream`` returns a generator."""
+    rejected = [n for n in (lo - 1, hi + 1) if floor is None or n >= floor]
     return pytest.param(what, lo, hi, call, rejected, accepted, stream, id=entry)
 
 
@@ -158,10 +156,6 @@ ROWS = [
     _row(
         "phi_local_bruteforce", "brute-force cap", 0, 5,
         lambda n: phi_local_bruteforce(_edgeless_graph(n), 0, 5), (1, 5), floor=1,
-    ),
-    _row(
-        "extremal_cotrees", "cotree knapsack", 1, inf,
-        lambda n: extremal_cotrees(n, Family.COGRAPHS, True), (1,),
     ),
     _row(
         "verify_inequality_sweeps", "inequality sweep", 9, MAX_INEQUALITY_ORDER,

@@ -26,10 +26,11 @@ from cographmean.cotree import (
     cotree_to_graph,
     parse_cotree,
 )
-from cographmean.enumeration import enumerate_connected_graphs
+from cographmean.enumeration import canonical_graph, enumerate_connected_graphs
 from cographmean.graph import (
     Graph,
     complement,
+    emit_graph6,
     from_edge_list,
     induced_subgraph,
     parse_graph6,
@@ -41,7 +42,7 @@ from cographmean.poly import (
     phi_local_bruteforce,
     phi_local_cotree,
 )
-from cographmean.sweeps import LocalCounterexample, Sweep
+from cographmean.sweeps import LocalCounterexample, Sweep, find_local_counterexample
 from cographmean.verdict import TheoremVerdict
 from cographmean.verify import ExtremalClaim, ExtremalReport, Objective, _form_and_mean
 
@@ -215,9 +216,13 @@ def _assert_valid_poly(p: SubgraphPolynomial) -> None:
 def test_unchecked_graphs_pass_the_public_constructor(rng):
     for _ in range(60):
         n = rng.randint(1, 12)
-        g = from_edge_list(
-            n, [(u, v) for u in range(n) for v in range(u) if rng.random() < 0.4]
-        )
+        edges = [(u, v) for u in range(n) for v in range(u) if rng.random() < 0.4]
+        # each edge in either orientation, some twice
+        g = from_edge_list(n, [rng.choice([e, e[::-1]]) for e in edges + edges[::3]])
+        _assert_valid_graph(g)
+        _assert_valid_graph(parse_graph6(emit_graph6(g)))
+        if n <= 8:  # the canonical search is fast at these orders
+            _assert_valid_graph(canonical_graph(g))
         _assert_valid_graph(complement(g))
         _assert_valid_graph(induced_subgraph(g, rng.randint(1, (1 << n) - 1)))
         _assert_valid_graph(cotree_to_graph(random_cotree(rng, n)))
@@ -225,6 +230,9 @@ def test_unchecked_graphs_pass_the_public_constructor(rng):
     for n in range(1, 8):
         for g in enumerate_connected_graphs(n):
             _assert_valid_graph(g)
+    found = find_local_counterexample(14)
+    _assert_valid_graph(found.graph)
+    _assert_valid_graph(found.base_tree)
 
 
 def test_unchecked_polynomials_pass_the_public_constructor(rng):

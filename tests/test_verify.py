@@ -133,6 +133,14 @@ def test_extremal_search_refuses_caterpillars():
         assert str(caught.value) == "no extremal search over caterpillars"
 
 
+@pytest.mark.parametrize("family", [Family.COGRAPHS, Family.CONNECTED_GRAPHS])
+@pytest.mark.parametrize("objective", ["maximum", "MAX", "", None])
+def test_extremal_search_rejects_an_unknown_objective(family, objective):
+    with pytest.raises(RangeError) as caught:
+        extremal_search(family, 5, objective)
+    assert str(caught.value) == f"unknown objective {objective!r}, expected 'max' or 'min'"
+
+
 @pytest.mark.parametrize("objective", list(Objective))
 def test_extremal_search_takes_any_exact_start(objective):
     # An int, a float, a string or a Fraction start is converted exactly,
@@ -444,16 +452,16 @@ def test_cotree_winner_mean_is_rechecked_by_phi_cotree(monkeypatch):
     phi_cotree recheck can catch a knapsack winner carrying a wrong mean.
     ``extremal_search`` imports the knapsack when called, so the patch goes
     on the knapsack module."""
-    real = knapsack_module.extremal_cotrees
+    real = knapsack_module._extremal_cotrees
 
-    def wrong_mean_at_5(n, family, maximize, start):
-        winners, gap = real(n, family, maximize, start)
+    def wrong_mean_at_5(family, n, sign, lam):
+        winners, gap = real(family, n, sign, lam)
         if n == 5:
             ((form, mean),) = winners
             winners = ((form, mean + Fraction(1, 7)),)
         return winners, gap
 
-    monkeypatch.setattr(knapsack_module, "extremal_cotrees", wrong_mean_at_5)
+    monkeypatch.setattr(knapsack_module, "_extremal_cotrees", wrong_mean_at_5)
     assert DISCONNECTED_MAX.expected_mean(5) is None
     verdict = run_claim(DISCONNECTED_MAX, 6)
     assert verdict.status == "FAIL"
